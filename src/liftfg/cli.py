@@ -35,13 +35,16 @@ def cmd_lift(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = run_lifg(g, args.theta, args.position_mode)
-    with open(args.out + ".model", "w", encoding="utf-8") as fh:
-        fh.write(serialize_model(result.completed))
-    with open(args.out + ".report", "w", encoding="utf-8") as fh:
-        fh.write(result.report.to_text())
+    outputs = {".model": serialize_model(result.completed), ".report": result.report.to_text()}
     if result.lifted is not None:
-        with open(args.out + ".lifted", "w", encoding="utf-8") as fh:
-            fh.write(cp.serialize_lifted(result.lifted))
+        outputs[".lifted"] = cp.serialize_lifted(result.lifted)
+    try:
+        for suffix, text in outputs.items():
+            with open(args.out + suffix, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(result.report.to_text())
     if not result.report.complete:
         print("lift incomplete: unknown factors remain", file=sys.stderr)
@@ -79,18 +82,21 @@ def cmd_infer(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    marginals = []
-    if args.engine == "enumeration":
-        marginals = [joint_enumeration(g, q) for q in args.query]
-    elif args.engine == "ve":
-        marginals = [variable_elimination(g, q) for q in args.query]
-    elif args.engine == "bp":
-        beliefs = loopy_bp(g, args.iters)
-        marginals = [beliefs[q] for q in args.query]
-    elif args.engine == "cbp":
-        beliefs = counting_bp(lifted, args.iters)
-        supervar_of = lifted.supervar_of()
-        marginals = [beliefs[supervar_of[q]] for q in args.query]
+    try:
+        if args.engine == "enumeration":
+            marginals = [joint_enumeration(g, q) for q in args.query]
+        elif args.engine == "ve":
+            marginals = [variable_elimination(g, q) for q in args.query]
+        elif args.engine == "bp":
+            beliefs = loopy_bp(g, args.iters)
+            marginals = [beliefs[q] for q in args.query]
+        else:
+            beliefs = counting_bp(lifted, args.iters)
+            supervar_of = lifted.supervar_of()
+            marginals = [beliefs[supervar_of[q]] for q in args.query]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.format == "csv":
         print("rv,label,p")
@@ -116,13 +122,18 @@ def cmd_bench(args) -> int:
     workers = args.workers
     env_cap = os.environ.get("LIFTFG_THREADS")
     if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
+        try:
+            workers = min(workers, max(1, int(env_cap)))
+        except ValueError:
+            print(f"error: LIFTFG_THREADS must be an integer, got {env_cap!r}",
+                  file=sys.stderr)
+            return 1
     try:
         records, aggregates = run_benchmark(
             battery, args.instances, out=args.out, iters=args.iters,
             reps=args.reps, kl_cap_d=args.kl_cap, workers=workers,
             kl_direction=args.kl_direction)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactorGraph, Factor, PotentialTable, tables_equal
+from .model import FactorGraph, Factor, PotentialTable
 
 POSITION_MODES = ("canonical", "literal")
 
@@ -138,34 +138,18 @@ def _dense(keys: dict[str, tuple]) -> dict[str, int]:
     return {name: order[sig] for name, sig in keys.items()}
 
 
-def initial_colours(g: FactorGraph, pot_tol: float = 0.0) -> ColourAssignment:
+def initial_colours(g: FactorGraph) -> ColourAssignment:
     """Colour rvs by (range, evidence) and known factors by table equality.
 
-    Every unknown factor gets its own fresh colour.  With pot_tol > 0 known
-    factors are matched greedily against representatives in name order.
+    Every unknown factor gets its own fresh colour.
     """
     rv_keys = {name: (rv.range, -1 if rv.evidence is None else rv.evidence)
                for name, rv in g.rvs.items()}
     rv_colour = _dense(rv_keys)
 
-    known = sorted(name for name, f in g.factors.items() if not f.is_unknown)
+    factor_colour = _dense({name: (f.table.range_sizes, f.table.values)
+                            for name, f in g.factors.items() if not f.is_unknown})
     unknown = sorted(name for name, f in g.factors.items() if f.is_unknown)
-    factor_colour: dict[str, int] = {}
-    if pot_tol == 0.0:
-        keys = {name: (g.factors[name].table.range_sizes, g.factors[name].table.values)
-                for name in known}
-        factor_colour.update(_dense(keys))
-    else:
-        reps: list[str] = []
-        for name in known:
-            table = g.factors[name].table
-            for i, rep in enumerate(reps):
-                if tables_equal(g.factors[rep].table, table, pot_tol):
-                    factor_colour[name] = i
-                    break
-            else:
-                factor_colour[name] = len(reps)
-                reps.append(name)
     next_id = len(set(factor_colour.values()))
     for name in unknown:
         factor_colour[name] = next_id
@@ -224,7 +208,7 @@ def _partition_from(colours: ColourAssignment) -> Partition:
     return Partition(groups(colours.rv_colour), groups(colours.factor_colour))
 
 
-def run_cp(g: FactorGraph, position_mode: str = "canonical", pot_tol: float = 0.0,
+def run_cp(g: FactorGraph, position_mode: str = "canonical",
            initial: ColourAssignment | None = None) -> Partition:
     """Iterate cp_round until the induced partition is stable.
 
@@ -232,7 +216,7 @@ def run_cp(g: FactorGraph, position_mode: str = "canonical", pot_tol: float = 0.
     unless the caller pre-grouped them via ``initial``).  Refinement is
     monotone, so at most |rvs| + |factors| rounds are needed.
     """
-    colours = initial if initial is not None else initial_colours(g, pot_tol)
+    colours = initial if initial is not None else initial_colours(g)
     tags = {name: position_tags(f, position_mode) for name, f in g.factors.items()}
     adj = _adjacency(g)
     part = _partition_from(colours)
@@ -302,7 +286,7 @@ def compress(g: FactorGraph, partition: Partition,
                     f"factor group {members} is not stable: {m} does not span "
                     f"the supervariables {slots}") from None
             aligned = PotentialTable.from_array(np.transpose(f.table.array(), axes))
-            if not tables_equal(aligned, rep.table):
+            if aligned != rep.table:
                 raise ValueError(
                     f"factor group {members} mixes tables that no argument "
                     f"alignment reconciles")

@@ -133,8 +133,21 @@ def _multiply(scope_a, arr_a, scope_b, arr_b):
     return scope, expand(scope_a, arr_a) * expand(scope_b, arr_b)
 
 
+def _rescaled(arr: np.ndarray) -> np.ndarray:
+    """arr times the power of two that brings its maximum into [0.5, 1).
+
+    Scaling by a power of two is exact, so normalised results are bit for
+    bit those of the unscaled products whenever these stay finite.
+    """
+    return np.ldexp(arr, -math.frexp(arr.max())[1])
+
+
 def variable_elimination(g: FactorGraph, query: str) -> Marginal:
-    """Exact marginal by sum-product elimination with a min-degree ordering."""
+    """Exact marginal by sum-product elimination with a min-degree ordering.
+
+    Every product is rescaled by a power of two, so its maximum stays in
+    [0.5, 1) even at a hub with thousands of factors.
+    """
     _require_known(g)
     if query not in g.rvs:
         raise KeyError(f"no randvar named {query!r}")
@@ -164,6 +177,7 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
         scope, arr = live[bucket_ids[0]]
         for fid in bucket_ids[1:]:
             scope, arr = _multiply(scope, arr, *live[fid])
+            arr = _rescaled(arr)
         for fid in bucket_ids:
             for v in live[fid][0]:
                 if v != var:
@@ -183,7 +197,7 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
     weights = np.ones(len(q_rv.range))
     for scope, arr in live.values():
         if scope == (query,):
-            weights = weights * arr
+            weights = _rescaled(weights * arr)
         # scalar leftovers from disconnected components cancel on normalisation
     return Marginal.normalised(query, weights)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactorGraph, Factor, PotentialTable, tables_equal
+from .model import FactorGraph, Factor, PotentialTable
 from . import cp
 
 
@@ -100,36 +100,21 @@ def two_step_neighbourhood(g: FactorGraph, factor_name: str) -> frozenset[str]:
     return frozenset(nodes)
 
 
-def _degree_map(g: FactorGraph) -> dict[str, int]:
+def _rv_triples(g: FactorGraph) -> dict[str, tuple[int, tuple[str, ...], int]]:
+    """Every rv's (evidence, range, degree) triple, evidence -1 when unobserved."""
     degree = dict.fromkeys(g.rvs, 0)
     for f in g.factors.values():
         for a in f.args:
             degree[a] += 1
-    return degree
+    return {name: (-1 if rv.evidence is None else rv.evidence, rv.range, degree[name])
+            for name, rv in g.rvs.items()}
 
 
 def all_signatures(g: FactorGraph) -> dict[str, NeighbourhoodSignature]:
     """Neighbourhood signatures for every factor in one pass over the graph."""
-    degree = _degree_map(g)
-    out = {}
-    for name, f in g.factors.items():
-        triples = []
-        for rv_name in f.args:
-            rv = g.rvs[rv_name]
-            ev = -1 if rv.evidence is None else rv.evidence
-            triples.append((ev, rv.range, degree[rv_name]))
-        out[name] = NeighbourhoodSignature(len(f.args), tuple(sorted(triples)))
-    return out
-
-
-def neighbourhood_signature(g: FactorGraph, factor_name: str) -> NeighbourhoodSignature:
-    f = g.factors[factor_name]
-    triples = []
-    for rv_name in f.args:
-        rv = g.rvs[rv_name]
-        ev = -1 if rv.evidence is None else rv.evidence
-        triples.append((ev, rv.range, g.rv_degree(rv_name)))
-    return NeighbourhoodSignature(len(f.args), tuple(sorted(triples)))
+    triples = _rv_triples(g)
+    return {name: NeighbourhoodSignature(len(f.args), tuple(sorted(triples[a] for a in f.args)))
+            for name, f in g.factors.items()}
 
 
 def symmetric_neighbourhoods(g: FactorGraph, f_i: str, f_j: str) -> bool:
@@ -138,46 +123,37 @@ def symmetric_neighbourhoods(g: FactorGraph, f_i: str, f_j: str) -> bool:
     Equality of the sorted triple multisets is equivalent to the existence
     of a neighbour bijection preserving evidence, range and degree.
     """
-    return neighbourhood_signature(g, f_i) == neighbourhood_signature(g, f_j)
+    signatures = all_signatures(g)
+    return signatures[f_i] == signatures[f_j]
 
 
-def possibly_identical(g: FactorGraph, f_i: str, f_j: str, pot_tol: float = 0.0) -> bool:
+def possibly_identical(g: FactorGraph, f_i: str, f_j: str) -> bool:
     if f_i == f_j:
         raise ValueError("possibly_identical is defined for distinct factors")
     if not symmetric_neighbourhoods(g, f_i, f_j):
         return False
     a, b = g.factors[f_i], g.factors[f_j]
-    if a.is_unknown or b.is_unknown:
-        return True
-    return tables_equal(a.table, b.table, pot_tol)
+    return a.is_unknown or b.is_unknown or a.table == b.table
 
 
-def select_candidates(candidates, theta: float, pot_tol: float = 0.0):
+def select_candidates(candidates):
     """Pick the largest table-equality class of a candidate set.
 
     candidates: known Factor objects sharing one neighbourhood signature.
-    Returns (members sorted by name, shared table, ratio) or None when the
-    set is empty or the agreeing fraction falls below theta.  Ties between
-    equal-sized classes go to the class with the smallest member name.
+    Returns (members sorted by name, shared table, ratio), or None when the
+    set is empty.  Ties between equal-sized classes go to the class with the
+    smallest member name.
     """
     candidates = sorted(candidates, key=lambda f: f.name)
     if not candidates:
         return None
-    classes: list[list[Factor]] = []
+    classes: dict[PotentialTable, list[str]] = {}
     for f in candidates:
-        for cls in classes:
-            if tables_equal(cls[0].table, f.table, pot_tol):
-                cls.append(f)
-                break
-        else:
-            classes.append([f])
+        classes.setdefault(f.table, []).append(f.name)
     # max() keeps the first maximum; classes arise in candidate name order,
     # so equal-sized ties go to the class with the smallest leading name.
-    best = max(classes, key=len)
-    ratio = len(best) / len(candidates)
-    if ratio < theta:
-        return None
-    return tuple(f.name for f in best), best[0].table, ratio
+    table, best = max(classes.items(), key=lambda item: len(item[1]))
+    return tuple(best), table, len(best) / len(candidates)
 
 
 def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> PotentialTable:
@@ -187,15 +163,9 @@ def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> Po
     a block of equal triples they pair up in argument-list order.  The table
     axes are permuted accordingly.
     """
-    def triples(f: Factor):
-        out = []
-        for rv_name in f.args:
-            rv = g.rvs[rv_name]
-            ev = -1 if rv.evidence is None else rv.evidence
-            out.append((ev, rv.range, g.rv_degree(rv_name)))
-        return out
-
-    t_unknown, t_source = triples(f_unknown), triples(source)
+    triples = _rv_triples(g)
+    t_unknown = [triples[a] for a in f_unknown.args]
+    t_source = [triples[a] for a in source.args]
     if sorted(t_unknown) != sorted(t_source) or len(t_unknown) != len(t_source):
         raise ValueError(f"{f_unknown.name} and {source.name} have no argument bijection")
     remaining: dict[tuple, list[int]] = {}
@@ -206,8 +176,7 @@ def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> Po
     return PotentialTable.from_array(arr)
 
 
-def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical",
-             pot_tol: float = 0.0) -> LiftResult:
+def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical") -> LiftResult:
     """Full lifting pass: group unknowns, transfer potentials, refine, compress.
 
     Returns the completed graph (unknown factors replaced where a transfer
@@ -216,7 +185,7 @@ def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical",
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    init = cp.initial_colours(g, pot_tol)
+    init = cp.initial_colours(g)
     colours = dict(init.factor_colour)
     rv_colours = init.rv_colour
 
@@ -247,7 +216,7 @@ def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical",
     selected_by_colour: dict[int, tuple[str, ...]] = {}
     for name in unknown_names:
         cand = candidates_of[name]
-        selection = select_candidates([g.factors[c] for c in cand], 0.0, pot_tol)
+        selection = select_candidates([g.factors[c] for c in cand])
         if selection is None:
             records.append(CandidateSet(name, tuple(cand), None, None, None))
             continue
@@ -269,7 +238,7 @@ def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical",
     completed = g.replace_factors(replacements) if replacements else g
     complete = not completed.has_unknown
     initial = cp.ColourAssignment(rv_colours, colours)
-    partition = cp.run_cp(completed, position_mode, pot_tol, initial=initial)
+    partition = cp.run_cp(completed, position_mode, initial=initial)
     lifted = None
     if complete:
         try:

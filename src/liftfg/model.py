@@ -43,7 +43,10 @@ class RandomVariable:
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Flat potential table, row-major, last argument fastest."""
+    """Flat potential table, row-major, last argument fastest.
+
+    Equality is table identity: equal range sizes and exactly equal values.
+    """
 
     range_sizes: tuple[int, ...]
     values: tuple[float, ...]
@@ -64,15 +67,6 @@ class PotentialTable:
     def from_array(cls, arr) -> "PotentialTable":
         arr = np.asarray(arr, dtype=float)
         return cls(tuple(arr.shape), tuple(arr.reshape(-1).tolist()))
-
-
-def tables_equal(a: PotentialTable, b: PotentialTable, tol: float = 0.0) -> bool:
-    """Equality of two tables, exact by default, entry-wise within tol otherwise."""
-    if a.range_sizes != b.range_sizes:
-        return False
-    if tol == 0.0:
-        return a.values == b.values
-    return all(abs(x - y) <= tol for x, y in zip(a.values, b.values))
 
 
 @dataclass(frozen=True)
@@ -110,19 +104,9 @@ class FactorGraph:
     def __repr__(self):
         return f"FactorGraph(|rvs|={len(self.rvs)}, |factors|={len(self.factors)})"
 
-    def factors_of(self, rv_name: str) -> list[Factor]:
-        """All factors having rv_name among their arguments, in name order."""
-        return [f for _, f in sorted(self.factors.items()) if rv_name in f.args]
-
-    def rv_degree(self, rv_name: str) -> int:
-        return sum(1 for f in self.factors.values() if rv_name in f.args)
-
     @property
     def has_unknown(self) -> bool:
         return any(f.is_unknown for f in self.factors.values())
-
-    def unknown_factors(self) -> list[Factor]:
-        return [f for _, f in sorted(self.factors.items()) if f.is_unknown]
 
     def replace_factors(self, replacements: dict[str, Factor]) -> "FactorGraph":
         """A copy of the graph with some factors swapped out."""
@@ -238,6 +222,8 @@ def parse_model(text: str) -> FactorGraph:
             if name not in rvs:
                 raise ParseError(f"line {lineno}: evidence for undeclared randvar {name!r}")
             rv = rvs[name]
+            if rv.evidence is not None:
+                raise ParseError(f"line {lineno}: duplicate evidence for {name!r}")
             if label not in rv.range:
                 raise ParseError(f"line {lineno}: label {label!r} not in range of {name!r}")
             rvs[name] = RandomVariable(rv.name, rv.range, rv.range.index(label))

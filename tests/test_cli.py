@@ -187,3 +187,30 @@ factor u4 X4 | 1.0 1.3
     assert "alignment" in capsys.readouterr().err
     assert main(["infer", "--model", str(path), "--engine", "ve",
                  "--query", "X0"]) == 0
+
+
+def _write_free_booleans(path, n):
+    """n free Boolean variables, each under its own unary factor."""
+    lines = [f"randvar X{i} t f\nfactor u{i} X{i} | 1 2" for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir", "threads_env",
+                                  "enumeration_cap"])
+def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
+                                               monkeypatch, capsys):
+    missing = tmp_path / "no_such_dir"
+    bench = ["bench", "--d", "2", "--instances", "1", "--reps", "1"]
+    argv = {
+        "lift_out_dir": ["lift", "--model", str(unknown_file), "--out", str(missing / "x")],
+        "bench_out_dir": bench + ["--out", str(missing / "b.csv")],
+        "threads_env": bench,
+        "enumeration_cap": ["infer", "--model",
+                            str(_write_free_booleans(tmp_path / "wide.fg", 30)),
+                            "--engine", "enumeration", "--query", "X0"],
+    }[case]
+    if case == "threads_env":
+        monkeypatch.setenv("LIFTFG_THREADS", "abc")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

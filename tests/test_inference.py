@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from liftfg import (FactorGraph, Marginal, RandomVariable,
@@ -91,6 +92,29 @@ def test_ve_ignores_disconnected_component():
     factor f2 C | 9 1
     """)
     assert max_delta(variable_elimination(g, "A"), joint_enumeration(g, "A")) < 1e-14
+
+
+def test_ve_hub_with_thousands_of_observed_leaves():
+    # 2000 observed leaves share one pairwise table with the hub H; the
+    # unscaled products over- and underflow, the closed form is log-space
+    n, table = 2000, ((3.0, 1.0), (1.0, 2.5))
+    lines = ["randvar H a b", "randvar Q a b", "factor fq H Q | 1 2 3 4"]
+    evidence = [i % 3 != 0 for i in range(n)]          # leaf label index 0 or 1
+    for i, e in enumerate(evidence):
+        lines += [f"randvar L{i} a b",
+                  f"factor f{i} H L{i} | {' '.join(repr(v) for r in table for v in r)}",
+                  f"evidence L{i} {'b' if e else 'a'}"]
+    g = parse_model("\n".join(lines))
+    log_h = np.array([sum(math.log(table[h][int(e)]) for e in evidence) for h in (0, 1)])
+    fq = np.log(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def normalised(log_w):
+        return np.exp(log_w - np.logaddexp.reduce(log_w))
+
+    expected_h = normalised(log_h + np.logaddexp.reduce(fq, axis=1))
+    expected_q = normalised(np.logaddexp.reduce(log_h[:, None] + fq, axis=0))
+    assert variable_elimination(g, "H").probs == pytest.approx(expected_h, abs=1e-10)
+    assert variable_elimination(g, "Q").probs == pytest.approx(expected_q, abs=1e-10)
 
 
 def test_evidence_consistency_condition_vs_slice():

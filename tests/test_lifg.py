@@ -1,12 +1,12 @@
+from collections import Counter
 import random
 
 import pytest
 
-from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable, compress,
-                    neighbourhood_signature, parse_model, possibly_identical,
-                    run_cp, run_lifg, select_candidates, symmetric_neighbourhoods,
-                    transfer_potentials, two_step_neighbourhood)
-from liftfg.lifg import all_signatures
+from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable, all_signatures,
+                    compress, parse_model, possibly_identical, run_cp, run_lifg,
+                    select_candidates, symmetric_neighbourhoods, transfer_potentials,
+                    two_step_neighbourhood)
 from liftfg.benchgen import GenParams, generate_instance, remove_potentials
 from conftest import THREE_RV_TEXT, random_graph
 
@@ -56,11 +56,12 @@ def test_two_step_missing_factor(three_rv):
 # --- signatures and symmetry ------------------------------------------------
 
 def test_signature_three_rv(three_rv):
-    sig = neighbourhood_signature(three_rv, "phi1")
+    sigs = all_signatures(three_rv)
+    sig = sigs["phi1"]
     assert sig.factor_degree == 2
     assert sig.rv_signatures == ((-1, ("true", "false"), 1),
                                  (-1, ("true", "false"), 2))
-    assert sig == neighbourhood_signature(three_rv, "phi2")
+    assert sig == sigs["phi2"]
 
 
 def test_symmetric_three_rv(three_rv):
@@ -80,7 +81,7 @@ def test_epidemic_template_factors_are_symmetric(epidemic):
     # both templates touch one degree-1 rv, one degree-3 rv and the centre;
     # the triple multisets coincide, so symmetry holds despite the
     # different tables.  Hand-computed expectation:
-    deg = {name: epidemic.rv_degree(name) for name in epidemic.rvs}
+    deg = Counter(a for f in epidemic.factors.values() for a in f.args)
     assert deg["Travel_alice"] == deg["Treat_alice_m1"] == 1
     assert deg["Sick_alice"] == 3 and deg["Epid"] == 7
     assert symmetric_neighbourhoods(epidemic, "f1_alice", "f2_alice_m1")
@@ -107,32 +108,41 @@ def test_possibly_identical_cases(three_rv):
 def test_select_mode_of_tables():
     t1, t2 = unary(1, 2), unary(3, 4)
     fa, fb, fc = Factor("fa", ("X",), t1), Factor("fb", ("Y",), t1), Factor("fc", ("Z",), t2)
-    members, table, ratio = select_candidates([fc, fb, fa], theta=0.5)
+    members, table, ratio = select_candidates([fc, fb, fa])
     assert members == ("fa", "fb")
     assert table == t1
     assert ratio == pytest.approx(2 / 3)
 
 
 def test_select_empty_candidates():
-    assert select_candidates([], theta=0.0) is None
+    assert select_candidates([]) is None
 
 
 def test_select_singleton():
     f = Factor("fa", ("X",), unary(1, 2))
-    members, table, ratio = select_candidates([f], theta=1.0)
+    members, table, ratio = select_candidates([f])
     assert members == ("fa",) and ratio == 1.0
 
 
 def test_select_below_threshold():
-    fa, fb = Factor("fa", ("X",), unary(1, 2)), Factor("fb", ("Y",), unary(3, 4))
-    assert select_candidates([fa, fb], theta=0.6) is None
+    # the threshold is run_lifg's alone: a low agreeing fraction is still
+    # reported (test_lifg_threshold_blocks_transfer checks the cut-off)
+    fa, fb, fc = (Factor(name, (rv,), unary(1, v))
+                  for name, rv, v in (("fa", "X", 2), ("fb", "Y", 3), ("fc", "Z", 4)))
+    members, table, ratio = select_candidates([fc, fb, fa])
+    assert members == ("fa",) and table == unary(1, 2)
+    assert ratio == pytest.approx(1 / 3)
 
 
 def test_select_tie_breaks_lexicographically():
     fa, fb = Factor("fa", ("X",), unary(1, 2)), Factor("fb", ("Y",), unary(3, 4))
-    members, table, ratio = select_candidates([fb, fa], theta=0.5)
+    members, table, ratio = select_candidates([fb, fa])
     assert members == ("fa",)
     assert ratio == 0.5
+    # interleaved classes of two: the one holding the smallest name wins
+    fc, fd = Factor("fc", ("Z",), unary(3, 4)), Factor("fd", ("W",), unary(1, 2))
+    members, table, ratio = select_candidates([fd, fc, fb, fa])
+    assert members == ("fa", "fd") and table == unary(1, 2)
 
 
 # --- potential transfer ---------------------------------------------------------
@@ -290,12 +300,6 @@ def test_lifg_completion_on_generated_instances():
         assert res.report.complete
         assert not res.completed.has_unknown
         assert res.completed == g   # transfers recover the exact tables
-
-
-def test_signatures_bulk_matches_single(epidemic):
-    sigs = all_signatures(epidemic)
-    for name in epidemic.factors:
-        assert sigs[name] == neighbourhood_signature(epidemic, name)
 
 
 CROSSED_ROLES = """\

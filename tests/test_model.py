@@ -73,6 +73,12 @@ def test_parse_error_reports_line_number():
         parse_model("randvar A x y\nrandvar B x y\nfactor f A B | 1 2 3\nfactor g A B | 1 2 3 4")
 
 
+def test_parse_rejects_duplicate_evidence():
+    # a second observation of one variable is an error, not last-one-wins
+    with pytest.raises(ParseError, match="line 7: duplicate evidence for 'A'"):
+        parse_model(THREE_RV_TEXT + "evidence A true\nevidence A false\n")
+
+
 def test_round_trip_three_rv(three_rv):
     assert parse_model(serialize_model(three_rv)) == three_rv
 
