@@ -152,8 +152,20 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2.
+
+    Exit code 2 means "unknown factors remain"; a bad choice, a missing
+    required option or an unknown subcommand is an input error.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liftfg",
         description="Lift factor graphs with unknown factors and run inference.")
     sub = parser.add_subparsers(dest="command", required=True)

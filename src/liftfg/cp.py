@@ -132,6 +132,18 @@ def position_tags(factor: Factor, mode: str = "canonical") -> tuple[int, ...]:
     return tuple(tags)
 
 
+def _all_position_tags(g: FactorGraph, mode: str) -> dict[str, tuple[int, ...]]:
+    """position_tags of every factor of g, computed once per distinct table."""
+    by_table: dict[tuple, tuple[int, ...]] = {}
+    tags = {}
+    for name, f in g.factors.items():
+        key = (f.table, len(f.args))
+        if key not in by_table:
+            by_table[key] = position_tags(f, mode)
+        tags[name] = by_table[key]
+    return tags
+
+
 def _dense(keys: dict[str, tuple]) -> dict[str, int]:
     """Assign dense colour ids 0..k-1 in sorted-signature order."""
     order = {sig: i for i, sig in enumerate(sorted(set(keys.values())))}
@@ -178,7 +190,7 @@ def cp_round(g: FactorGraph, colours: ColourAssignment,
     assigned in sorted-signature order, so the result is deterministic.
     """
     if _tags is None:
-        _tags = {name: position_tags(f, position_mode) for name, f in g.factors.items()}
+        _tags = _all_position_tags(g, position_mode)
     if _adj is None:
         _adj = _adjacency(g)
     factor_keys = {
@@ -217,7 +229,7 @@ def run_cp(g: FactorGraph, position_mode: str = "canonical",
     monotone, so at most |rvs| + |factors| rounds are needed.
     """
     colours = initial if initial is not None else initial_colours(g)
-    tags = {name: position_tags(f, position_mode) for name, f in g.factors.items()}
+    tags = _all_position_tags(g, position_mode)
     adj = _adjacency(g)
     part = _partition_from(colours)
     for _ in range(len(g.rvs) + len(g.factors) + 1):
@@ -250,6 +262,7 @@ def compress(g: FactorGraph, partition: Partition,
         sv_name_of_group[gi] = rep.name
 
     superfactors = []
+    classes_of: dict[PotentialTable, list[tuple[int, ...]]] = {}
     for members in partition.factor_groups:
         rep = g.factors[members[0]]
         if rep.is_unknown:
@@ -257,7 +270,9 @@ def compress(g: FactorGraph, partition: Partition,
         # canonical slot layout from the representative: inside a table
         # symmetry class, positions are ordered by the supervar they hold
         if position_mode == "canonical":
-            classes = argument_symmetry_classes(rep.table)
+            if rep.table not in classes_of:
+                classes_of[rep.table] = argument_symmetry_classes(rep.table)
+            classes = classes_of[rep.table]
         else:
             classes = [(p,) for p in range(len(rep.args))]
         slots: list[str | None] = [None] * len(rep.args)
@@ -265,11 +280,13 @@ def compress(g: FactorGraph, partition: Partition,
             held = sorted(sv_name_of_group[rv_group_of[rep.args[p]]] for p in cls)
             for slot, sv in zip(cls, held):
                 slots[slot] = sv
-        # align every member to the slots: arguments may be permuted across
-        # members (potential transfer aligns tables to local argument
+        # align every other member to the slots: arguments may be permuted
+        # across members (potential transfer aligns tables to local argument
         # orders), but after matching argument groups to slot supervars the
-        # permuted table must coincide with the representative's
-        for m in members:
+        # permuted table must coincide with the representative's.  The
+        # representative itself aligns by construction: its slots only
+        # permute positions inside a symmetry class of its own table.
+        for m in members[1:]:
             f = g.factors[m]
             if f.is_unknown:
                 raise ValueError(f"factor group {members} contains unknown factor {m}")
@@ -285,7 +302,8 @@ def compress(g: FactorGraph, partition: Partition,
                 raise ValueError(
                     f"factor group {members} is not stable: {m} does not span "
                     f"the supervariables {slots}") from None
-            aligned = PotentialTable.from_array(np.transpose(f.table.array(), axes))
+            aligned = (f.table if axes == sorted(axes) else
+                       PotentialTable.from_array(np.transpose(f.table.array(), axes)))
             if aligned != rep.table:
                 raise ValueError(
                     f"factor group {members} mixes tables that no argument "

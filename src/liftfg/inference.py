@@ -1,17 +1,26 @@
 """Inference engines: exact enumeration, variable elimination, ground and counting BP.
 
 Enumeration is the oracle everything else is checked against.  Variable
-elimination uses a min-degree ordering and matches enumeration to float
-precision.  Belief propagation is synchronous sum-product with per-round
-normalisation and a fixed iteration count; counting BP runs the identical
-message kernel on a compressed model, raising message products to the
-ground edge counts.  Running the kernel on an uncompressed model with all
-counts equal to one reproduces ground BP bit for bit.
+elimination uses a min-degree ordering, kept with incremental neighbour sets
+and a heap, and matches enumeration to float precision.
+
+Belief propagation is synchronous sum-product with per-round normalisation
+and a fixed iteration count.  Its kernel is flat: messages live in one
+array per variable range size and tables are stacked per slot shape, so an
+iteration costs O(E) arithmetic for E edges in a number of numpy calls
+that depends only on the distinct range sizes and slot shapes.  A
+variable's log message to a factor is its count-weighted total over all
+incoming log messages minus the one from that factor.  Counting BP runs the identical kernel on a
+compressed model, raising messages to the ground edge counts (Kersting,
+Ahmadi and Natarajan, "Counting Belief Propagation", UAI 2009).  Running
+the kernel on an uncompressed model with all counts equal to one
+reproduces ground BP bit for bit.
 
 Evidence is applied by slicing potential tables before any engine runs.
 """
 
 from dataclasses import dataclass
+import heapq
 from itertools import product
 import math
 
@@ -157,21 +166,23 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
     live: dict[int, tuple[tuple[str, ...], np.ndarray]] = dict(enumerate(_sliced_factors(g)))
     next_id = len(live)
     of_var: dict[str, set[int]] = {}
+    nbrs: dict[str, set[str]] = {}
     for fid, (scope, _) in live.items():
         for v in scope:
             of_var.setdefault(v, set()).add(fid)
+            nbrs.setdefault(v, set()).update(scope)
+    for v, ns in nbrs.items():
+        ns.discard(v)
 
-    def degree(v):
-        nbrs = set()
-        for fid in of_var[v]:
-            nbrs.update(live[fid][0])
-        nbrs.discard(v)
-        return len(nbrs)
-
-    remaining = sorted(set(of_var) - {query})
-    degrees = {v: degree(v) for v in remaining}
+    # min-degree order by (degree, name); a heap entry is stale once its
+    # variable is eliminated or its degree has changed
+    remaining = set(of_var) - {query}
+    heap = [(len(nbrs[v]), v) for v in remaining]
+    heapq.heapify(heap)
     while remaining:
-        var = min(remaining, key=lambda v: (degrees[v], v))
+        d, var = heapq.heappop(heap)
+        if var not in remaining or d != len(nbrs[var]):
+            continue
         remaining.remove(var)
         bucket_ids = sorted(of_var.pop(var))
         scope, arr = live[bucket_ids[0]]
@@ -191,9 +202,14 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
             for v in scope:
                 of_var[v].add(next_id)
             next_id += 1
+        # only the new factor's scope changes neighbourhoods: each of its
+        # variables gains the scope and loses the eliminated variable
         for v in scope:
-            if v in degrees:
-                degrees[v] = degree(v)
+            ns = nbrs[v]
+            ns.update(scope)
+            ns.difference_update((v, var))
+            if v in remaining:
+                heapq.heappush(heap, (len(ns), v))
     weights = np.ones(len(q_rv.range))
     for scope, arr in live.values():
         if scope == (query,):
@@ -203,67 +219,113 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
 
 
 class _BPStructure:
-    """Flattened message-passing structure shared by ground and counting BP."""
+    """Flattened message-passing structure shared by ground and counting BP.
 
-    def __init__(self, var_names, ranges, tables, slots, counts):
-        self.var_names = var_names          # list[str]
-        self.ranges = ranges                # list[int]
-        self.tables = tables                # list[np.ndarray], sliced, free slots only
-        self.slots = slots                  # list[list[int]] var index per slot
-        self.counts = counts                # list[list[int]] ground count per slot
-        self.incident = [[] for _ in var_names]
-        for fi, ss in enumerate(slots):
-            if len(set(ss)) != len(ss):
-                raise ValueError("factor with repeated variable slots is unsupported")
-            for si, vi in enumerate(ss):
-                self.incident[vi].append((fi, si))
+    Built once per call from the free variables' range sizes and, per
+    factor with at least one free slot, its evidence-sliced table, the
+    variable index of each slot and the ground edge count of each slot.
+
+    Edges are grouped by the range size r of their variable.  Range group
+    ``(r, var_ids, flat, counts)`` holds the global indices of the variables
+    of range r, and per edge (one row of the group's (E, r) message arrays)
+    the flat index ``local_var * r + j`` of each of its r entries and its
+    count as an (E, 1) column.  Factors are grouped by slot shape
+    ``(r1..rk)``: shape group ``(tables, rows)`` stacks the tables to shape
+    (F, r1..rk) and holds per slot the range group, the (F,) edge rows it
+    reads and writes, and the shape that broadcasts its messages against
+    the stacked tables.
+    """
+
+    def __init__(self, ranges, tables, slots, counts):
+        self.n_vars = len(ranges)
+        sizes = sorted(set(ranges))
+        group_of = {r: gi for gi, r in enumerate(sizes)}
+        var_ids: list[list[int]] = [[] for _ in sizes]
+        local = []
+        for vi, r in enumerate(ranges):
+            local.append(len(var_ids[group_of[r]]))
+            var_ids[group_of[r]].append(vi)
+        edge_var: list[list[int]] = [[] for _ in sizes]
+        edge_count: list[list[int]] = [[] for _ in sizes]
+        by_shape: dict[tuple[int, ...], tuple[list, list]] = {}
+        for table, ss, cc in zip(tables, slots, counts):
+            shape = tuple(ranges[vi] for vi in ss)
+            stacked, rows = by_shape.setdefault(shape, ([], [[] for _ in ss]))
+            stacked.append(table)
+            for si, (vi, c) in enumerate(zip(ss, cc)):
+                gi = group_of[ranges[vi]]
+                rows[si].append(len(edge_var[gi]))
+                edge_var[gi].append(local[vi])
+                edge_count[gi].append(c)
+        self.range_groups = []
+        for r, ids, ev, ec in zip(sizes, var_ids, edge_var, edge_count):
+            flat = (np.asarray(ev, dtype=np.intp)[:, None] * r + np.arange(r)).ravel()
+            self.range_groups.append((r, ids, flat,
+                                      np.asarray(ec, dtype=float).reshape(-1, 1)))
+        self.shape_groups = []
+        for shape, (stacked, rows) in by_shape.items():
+            slot_rows = []
+            for si, (r, rr) in enumerate(zip(shape, rows)):
+                broadcast = [len(stacked)] + [1] * len(shape)
+                broadcast[si + 1] = r
+                slot_rows.append((group_of[r], np.asarray(rr, dtype=np.intp), tuple(broadcast)))
+            self.shape_groups.append((np.stack(stacked), slot_rows))
 
 
-def _log_normalise(vec: np.ndarray) -> np.ndarray:
-    m = vec.max()
-    return vec - (m + math.log(np.exp(vec - m).sum()))
+def _log_normalise(rows: np.ndarray) -> np.ndarray:
+    """Each row of rows minus its log-sum-exp."""
+    m = rows.max(axis=1, keepdims=True)
+    return rows - (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True)))
+
+
+def _totals(group, log_mu: np.ndarray) -> np.ndarray:
+    """Per variable of a range group, the count-weighted sum of its incoming messages."""
+    r, ids, flat, counts = group
+    weighted = (counts * log_mu).ravel()
+    return np.bincount(flat, weights=weighted, minlength=len(ids) * r).reshape(-1, r)
 
 
 def _run_bp(s: _BPStructure, iters: int) -> list[np.ndarray]:
-    """Synchronous sum-product; returns per-variable normalised beliefs."""
-    log_mu = [[np.full(s.ranges[vi], -math.log(s.ranges[vi])) for vi in ss]
-              for ss in s.slots]
-    log_n = [[np.zeros(s.ranges[vi]) for vi in ss] for ss in s.slots]
+    """Synchronous sum-product; returns per-variable normalised beliefs.
+
+    The message from a variable to a factor slot is the variable's total
+    over all incoming messages, each raised to its edge count, divided by
+    the message from that slot once.
+    """
+    log_mu = [np.full((len(counts), r), -math.log(r)) for r, _, _, counts in s.range_groups]
     for _ in range(iters):
-        for fi, ss in enumerate(s.slots):
-            for si, vi in enumerate(ss):
-                acc = (s.counts[fi][si] - 1) * log_mu[fi][si]
-                for hi, ti in s.incident[vi]:
-                    if hi == fi:
-                        continue
-                    acc = acc + s.counts[hi][ti] * log_mu[hi][ti]
-                log_n[fi][si] = _log_normalise(acc)
-        n_lin = [[np.exp(v) for v in per_factor] for per_factor in log_n]
-        for fi, ss in enumerate(s.slots):
-            table = s.tables[fi]
-            for si in range(len(ss)):
-                res = table
-                for ti in range(len(ss)):
-                    if ti == si:
-                        continue
-                    shape = [1] * res.ndim
-                    shape[ti] = s.ranges[ss[ti]]
-                    res = res * n_lin[fi][ti].reshape(shape)
-                other_axes = tuple(i for i in range(len(ss)) if i != si)
+        n_lin = []
+        for group, mu in zip(s.range_groups, log_mu):
+            r, _, flat, _ = group
+            total = _totals(group, mu).ravel()[flat].reshape(-1, r)
+            n_lin.append(np.exp(_log_normalise(total - mu)))
+        log_mu = [np.empty_like(mu) for mu in log_mu]
+        for tables, rows in s.shape_groups:
+            k = len(rows)
+            incoming = [n_lin[gi][idx].reshape(broadcast) for gi, idx, broadcast in rows]
+            for si, (gi, idx, _) in enumerate(rows):
+                res = tables
+                for ti in range(k):
+                    if ti != si:
+                        res = res * incoming[ti]
+                other_axes = tuple(ti + 1 for ti in range(k) if ti != si)
                 mu = res.sum(axis=other_axes) if other_axes else res
-                log_mu[fi][si] = _log_normalise(np.log(mu))
-    beliefs = []
-    for vi in range(len(s.var_names)):
-        acc = np.zeros(s.ranges[vi])
-        for fi, si in s.incident[vi]:
-            acc = acc + s.counts[fi][si] * log_mu[fi][si]
-        acc = _log_normalise(acc)
-        beliefs.append(np.exp(acc))
+                log_mu[gi][idx] = np.log(mu)
+        log_mu = [_log_normalise(mu) for mu in log_mu]
+    beliefs = [None] * s.n_vars
+    for group, mu in zip(s.range_groups, log_mu):
+        for vi, b in zip(group[1], np.exp(_log_normalise(_totals(group, mu)))):
+            beliefs[vi] = b
     return beliefs
 
 
-def _structure_from_lifted(m: LiftedModel) -> tuple[_BPStructure, list]:
-    """Slice evidence out of a lifted model and flatten it for the kernel."""
+def _sliced_superfactors(m: LiftedModel) -> tuple[list, list, list, list]:
+    """Slice evidence out of a lifted model and flatten it for the kernel.
+
+    Returns the free supervariables and, per superfactor with a free slot,
+    its sliced table, the free-supervariable index of each slot and the
+    edge count of each slot.
+    """
     free = [sv for sv in m.supervars if sv.evidence is None]
     observed = {sv.name: sv for sv in m.supervars if sv.evidence is not None}
     var_index = {sv.name: i for i, sv in enumerate(free)}
@@ -287,10 +349,7 @@ def _structure_from_lifted(m: LiftedModel) -> tuple[_BPStructure, list]:
             tables.append(arr)
             slots.append(ss)
             counts.append(cc)
-    structure = _BPStructure([sv.name for sv in free],
-                             [len(sv.range) for sv in free],
-                             tables, slots, counts)
-    return structure, free
+    return free, tables, slots, counts
 
 
 def counting_bp(m: LiftedModel, iters: int = 50) -> dict[str, Marginal]:
@@ -300,7 +359,8 @@ def counting_bp(m: LiftedModel, iters: int = 50) -> dict[str, Marginal]:
     supervariable beliefs equal the ground BP beliefs of any group member
     under the same schedule and iteration count.
     """
-    structure, free = _structure_from_lifted(m)
+    free, tables, slots, counts = _sliced_superfactors(m)
+    structure = _BPStructure([len(sv.range) for sv in free], tables, slots, counts)
     beliefs = _run_bp(structure, iters)
     out = {}
     for sv, b in zip(free, beliefs):

@@ -214,3 +214,25 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
         monkeypatch.setenv("LIFTFG_THREADS", "abc")
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--model", "x.fg", "--query", "A", "--engine", "foo"],   # bad choice
+    ["infer", "--model", "x.fg"],                                       # missing --query
+    ["frobnicate"],                                                     # unknown subcommand
+], ids=["bad_choice", "missing_required", "unknown_subcommand"])
+def test_usage_errors_exit_1_without_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: liftfg")
+    assert "error: " in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--help"])
+    assert exc.value.code == 0
+    assert "--engine" in capsys.readouterr().out

@@ -2,13 +2,15 @@ import itertools
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from liftfg import (FactorGraph, Marginal, RandomVariable,
+from liftfg import (Factor, FactorGraph, Marginal, PotentialTable, RandomVariable,
                     compress, counting_bp, joint_enumeration, kl_divergence,
                     loopy_bp, parse_model, run_cp, singleton_partition,
                     variable_elimination)
+from liftfg.inference import _BPStructure, _run_bp, _sliced_superfactors
 from conftest import THREE_RV_TEXT, random_graph
 
 
@@ -232,6 +234,123 @@ def test_cbp_rejects_repeated_supervar_slots():
     assert sf.args == ("A", "A")
     with pytest.raises(ValueError, match="repeat"):
         counting_bp(m, 3)
+
+
+# --- the flattened kernel against the nested-loop kernel ----------------------------
+
+def nested_loop_bp(ranges, tables, slots, counts, iters):
+    """Test oracle: BP with one numpy call per edge pair, written edge by edge.
+
+    Each variable-to-factor message is rebuilt from the variable's other
+    edges; the factor-to-variable messages multiply each slot's table by
+    the other slots' messages one factor at a time.
+    """
+    def log_normalise(vec):
+        m = vec.max()
+        return vec - (m + math.log(np.exp(vec - m).sum()))
+
+    incident = [[] for _ in ranges]
+    for fi, ss in enumerate(slots):
+        for si, vi in enumerate(ss):
+            incident[vi].append((fi, si))
+    log_mu = [[np.full(ranges[vi], -math.log(ranges[vi])) for vi in ss] for ss in slots]
+    log_n = [[np.zeros(ranges[vi]) for vi in ss] for ss in slots]
+    for _ in range(iters):
+        for fi, ss in enumerate(slots):
+            for si, vi in enumerate(ss):
+                acc = (counts[fi][si] - 1) * log_mu[fi][si]
+                for hi, ti in incident[vi]:
+                    if hi != fi:
+                        acc = acc + counts[hi][ti] * log_mu[hi][ti]
+                log_n[fi][si] = log_normalise(acc)
+        n_lin = [[np.exp(v) for v in per_factor] for per_factor in log_n]
+        for fi, ss in enumerate(slots):
+            for si in range(len(ss)):
+                res = tables[fi]
+                for ti in range(len(ss)):
+                    if ti != si:
+                        shape = [1] * res.ndim
+                        shape[ti] = ranges[ss[ti]]
+                        res = res * n_lin[fi][ti].reshape(shape)
+                other_axes = tuple(i for i in range(len(ss)) if i != si)
+                mu = res.sum(axis=other_axes) if other_axes else res
+                log_mu[fi][si] = log_normalise(np.log(mu))
+    beliefs = []
+    for vi in range(len(ranges)):
+        acc = np.zeros(ranges[vi])
+        for fi, si in incident[vi]:
+            acc = acc + counts[fi][si] * log_mu[fi][si]
+        beliefs.append(np.exp(log_normalise(acc)))
+    return beliefs
+
+
+@st.composite
+def spoke_graphs(draw):
+    """Copies of a random spoke template around shared hubs, plus an isolated rv.
+
+    Hub H0 (range 3) and spoke variable S0 (range 2) share the first
+    template factor, so that factor always mixes range sizes and, with at
+    least three copies of which at most one is observed apart, compresses
+    to a superfactor whose edge count at H0 exceeds one.
+    """
+    copies = draw(st.integers(3, 5))
+    hub_ranges = [3] + draw(st.lists(st.sampled_from((2, 3)), max_size=1))
+    spoke_ranges = [2] + draw(st.lists(st.sampled_from((2, 3)), max_size=2))
+    hubs = [f"H{i}" for i in range(len(hub_ranges))]
+    spokes = [f"S{j}" for j in range(len(spoke_ranges))]
+    scopes = [("H0", "S0")] + draw(st.lists(
+        st.lists(st.sampled_from(hubs + spokes), min_size=1, max_size=3, unique=True),
+        max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size = dict(zip(hubs + spokes, hub_ranges + spoke_ranges))
+    tables = []
+    for scope in scopes:
+        shape = tuple(size[a] for a in scope)
+        tables.append(PotentialTable(shape, [rng.uniform(0.2, 3.0)
+                                             for _ in range(math.prod(shape))]))
+    # evidence: on H1, on S1 and S2 in every copy, and on one spoke variable
+    # of copy 0 alone
+    hub_evidence = {h: draw(st.sampled_from((None, 0, 1))) for h in hubs[1:]}
+    spoke_evidence = {s: draw(st.sampled_from((None, None, 0, 1))) for s in spokes[1:]}
+    lone = draw(st.sampled_from((None,) + tuple(spokes)))
+    labels = {2: ("a", "b"), 3: ("a", "b", "c")}
+    rvs = [RandomVariable(h, labels[size[h]], hub_evidence.get(h)) for h in hubs]
+    rvs.append(RandomVariable("Iso", labels[3]))
+    factors = []
+    for c in range(copies):
+        for s in spokes:
+            evidence = spoke_evidence.get(s)
+            if c == 0 and s == lone:
+                evidence = 1 if evidence == 0 else 0
+            rvs.append(RandomVariable(f"{s}_{c}", labels[size[s]], evidence))
+        for k, (scope, table) in enumerate(zip(scopes, tables)):
+            if c > 0 and all(a in hubs for a in scope):
+                continue        # a hub-only factor exists once
+            args = tuple(a if a in hubs else f"{a}_{c}" for a in scope)
+            factors.append(Factor(f"f{k}_{c}", args, table))
+    return FactorGraph(rvs, factors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=spoke_graphs(), iters=st.sampled_from((0, 1, 7)))
+def test_flat_kernel_matches_nested_loop_oracle(g, iters):
+    m = compress(g, run_cp(g))
+    free, tables, slots, counts = _sliced_superfactors(m)
+    ranges = [len(sv.range) for sv in free]
+    assert max(c for cc in counts for c in cc) > 1
+    assert any(len({ranges[vi] for vi in ss}) > 1 for ss in slots)
+    iso = [sv.name for sv in free].index("Iso")
+    assert all(iso not in ss for ss in slots)
+    expected = nested_loop_bp(ranges, tables, slots, counts, iters)
+    got = _run_bp(_BPStructure(ranges, tables, slots, counts), iters)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12
+    assert got[iso].tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+    beliefs = counting_bp(m, iters)
+    for sv, b in zip(free, expected):
+        assert np.abs(beliefs[sv.name].array() - b).max() <= 1e-12
 
 
 # --- KL divergence --------------------------------------------------------------------
