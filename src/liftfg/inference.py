@@ -10,11 +10,15 @@ array per variable range size and tables are stacked per slot shape, so an
 iteration costs O(E) arithmetic for E edges in a number of numpy calls
 that depends only on the distinct range sizes and slot shapes.  A
 variable's log message to a factor is its count-weighted total over all
-incoming log messages minus the one from that factor.  Counting BP runs the identical kernel on a
-compressed model, raising messages to the ground edge counts (Kersting,
-Ahmadi and Natarajan, "Counting Belief Propagation", UAI 2009).  Running
-the kernel on an uncompressed model with all counts equal to one
-reproduces ground BP bit for bit.
+incoming log messages minus the one from that factor.  Ground BP runs the
+kernel straight on the evidence-sliced factors with every count one;
+counting BP runs it on a compressed model, raising messages to the ground
+edge counts (Kersting, Ahmadi and Natarajan, "Counting Belief
+Propagation", UAI 2009).  Counting BP on the trivial lifting (every group a
+singleton) reproduces ground BP bit for bit unless a table is symmetric
+under an argument swap: ``compress`` then orders those slots by variable
+name rather than argument order, so products are taken in another order
+and beliefs can differ in the last bits.
 
 Evidence is applied by slicing potential tables before any engine runs.
 """
@@ -27,7 +31,9 @@ import math
 import numpy as np
 
 from .model import FactorGraph
-from .cp import LiftedModel, singleton_partition, compress
+from .cp import LiftedModel
+# unused here, but perfbench/tracing.py wraps inference.compress; without it Tracer.install() raises
+from .cp import compress  # noqa: F401
 
 DEFAULT_STATE_CAP = 2 ** 24
 
@@ -372,7 +378,28 @@ def counting_bp(m: LiftedModel, iters: int = 50) -> dict[str, Marginal]:
 
 
 def loopy_bp(g: FactorGraph, iters: int = 50) -> dict[str, Marginal]:
-    """Ground synchronous sum-product: counting BP on the trivial lifting of g."""
+    """Ground synchronous sum-product: the counting-BP kernel with every count one.
+
+    The kernel runs straight on the evidence-sliced factors, slots in
+    argument order.  On the trivial lifting, ``compress`` orders the slots
+    inside a table's symmetry class by variable name instead, so
+    ``counting_bp`` on it gives these beliefs bit for bit when no table is
+    symmetric under an argument swap, and up to rounding otherwise.
+    """
     _require_known(g)
-    trivial = compress(g, singleton_partition(g))
-    return counting_bp(trivial, iters)
+    free = [name for name in sorted(g.rvs) if g.rvs[name].evidence is None]
+    var_index = {name: i for i, name in enumerate(free)}
+    sliced = _sliced_factors(g)
+    tables = [arr for _, arr in sliced]
+    slots = [[var_index[a] for a in scope] for scope, _ in sliced]
+    counts = [[1] * len(scope) for scope, _ in sliced]
+    structure = _BPStructure([len(g.rvs[name].range) for name in free], tables, slots, counts)
+    beliefs = _run_bp(structure, iters)
+    out = {}
+    for name, b in zip(free, beliefs):
+        out[name] = Marginal(name, tuple(b.tolist()))
+    for name in sorted(g.rvs):
+        rv = g.rvs[name]
+        if rv.evidence is not None:
+            out[name] = _indicator(name, len(rv.range), rv.evidence)
+    return out

@@ -100,19 +100,16 @@ def two_step_neighbourhood(g: FactorGraph, factor_name: str) -> frozenset[str]:
     return frozenset(nodes)
 
 
-def _rv_triples(g: FactorGraph) -> dict[str, tuple[int, tuple[str, ...], int]]:
-    """Every rv's (evidence, range, degree) triple, evidence -1 when unobserved."""
-    degree = dict.fromkeys(g.rvs, 0)
-    for f in g.factors.values():
-        for a in f.args:
-            degree[a] += 1
-    return {name: (-1 if rv.evidence is None else rv.evidence, rv.range, degree[name])
-            for name, rv in g.rvs.items()}
+def _rv_triples(g: FactorGraph, names) -> list[tuple[int, tuple[str, ...], int]]:
+    """The named rvs' (evidence, range, degree) triples, evidence -1 when unobserved."""
+    degree = g._degree
+    rvs = [g.rvs[name] for name in names]
+    return [(-1 if rv.evidence is None else rv.evidence, rv.range, degree[rv.name]) for rv in rvs]
 
 
 def all_signatures(g: FactorGraph) -> dict[str, NeighbourhoodSignature]:
     """Neighbourhood signatures for every factor in one pass over the graph."""
-    triples = _rv_triples(g)
+    triples = dict(zip(g.rvs, _rv_triples(g, g.rvs)))
     return {name: NeighbourhoodSignature(len(f.args), tuple(sorted(triples[a] for a in f.args)))
             for name, f in g.factors.items()}
 
@@ -163,9 +160,8 @@ def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> Po
     a block of equal triples they pair up in argument-list order.  The table
     axes are permuted accordingly.
     """
-    triples = _rv_triples(g)
-    t_unknown = [triples[a] for a in f_unknown.args]
-    t_source = [triples[a] for a in source.args]
+    t_unknown = _rv_triples(g, f_unknown.args)
+    t_source = _rv_triples(g, source.args)
     if sorted(t_unknown) != sorted(t_source) or len(t_unknown) != len(t_source):
         raise ValueError(f"{f_unknown.name} and {source.name} have no argument bijection")
     remaining: dict[tuple, list[int]] = {}

@@ -20,6 +20,7 @@ value-exact.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -103,6 +104,15 @@ class FactorGraph:
 
     def __repr__(self):
         return f"FactorGraph(|rvs|={len(self.rvs)}, |factors|={len(self.factors)})"
+
+    @cached_property
+    def _degree(self) -> dict[str, int]:
+        """Number of factors adjacent to each rv, counted once per graph."""
+        degree = dict.fromkeys(self.rvs, 0)
+        for f in self.factors.values():
+            for a in f.args:
+                degree[a] += 1
+        return degree
 
     @property
     def has_unknown(self) -> bool:

@@ -187,6 +187,64 @@ def test_cbp_equals_bp_bitwise_with_unit_counts():
             assert ground[rv].probs == lifted[rv].probs   # bit-identical
 
 
+@st.composite
+def swap_symmetric_graphs(draw):
+    """Random graphs whose tables are invariant under swapping 2 or 3 arguments.
+
+    Each symmetric block is declared in descending name order, so compress
+    reorders its slots on the trivial lifting; an extra argument, ranges 2
+    and 3, a unary factor per variable and evidence ride along.
+    """
+    ranges = draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=7))
+    names = [f"X{i}" for i in range(len(ranges))]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    labels = {2: ("a", "b"), 3: ("a", "b", "c")}
+    factors = []
+    for j in range(draw(st.integers(1, 4))):
+        r = draw(st.sampled_from(sorted(set(ranges))))
+        same = [n for n, size in zip(names, ranges) if size == r]
+        if len(same) < 2:
+            continue
+        k = draw(st.integers(2, min(3, len(same))))
+        block = sorted(draw(st.permutations(same))[:k], reverse=True)
+        rest = [n for n in names if n not in block]
+        extra = draw(st.lists(st.sampled_from(rest), max_size=1)) if rest else []
+        pos = draw(st.integers(0, len(block)))
+        args = tuple(block[:pos] + extra + block[pos:])
+        shape = tuple(ranges[names.index(a)] for a in args)
+        sym = [i for i, a in enumerate(args) if a in block]
+        values: dict[tuple, float] = {}
+        arr = np.empty(shape)
+        for idx in itertools.product(*(range(s) for s in shape)):
+            key = (tuple(sorted(idx[i] for i in sym)),
+                   tuple(v for i, v in enumerate(idx) if i not in sym))
+            arr[idx] = values.setdefault(key, rng.uniform(0.2, 3.0))
+        factors.append(Factor(f"f{j}", args, PotentialTable.from_array(arr)))
+    for n, size in zip(names, ranges):
+        factors.append(Factor(f"u{n}", (n,), PotentialTable((size,), [rng.uniform(0.5, 2.0)
+                                                                     for _ in range(size)])))
+    evidence = draw(st.lists(st.sampled_from((None, None, None, 0, 1)),
+                             min_size=len(names), max_size=len(names)))
+    rvs = [RandomVariable(n, labels[size], ev) for n, size, ev in zip(names, ranges, evidence)]
+    return FactorGraph(rvs, factors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(g=swap_symmetric_graphs(), iters=st.sampled_from((1, 7, 20)))
+def test_bp_matches_trivial_lifting_on_swap_symmetric_tables(g, iters):
+    # compress orders the slots of a symmetry class by name, loopy_bp keeps
+    # argument order, so the two take products in another order: equal up
+    # to rounding, not bit for bit
+    trivial = compress(g, singleton_partition(g))
+    reordered = [sf for sf in trivial.superfactors if sf.args != g.factors[sf.name].args]
+    assert reordered or not any(len(f.args) > 1 for f in g.factors.values())
+    ground = loopy_bp(g, iters)
+    lifted = counting_bp(trivial, iters)
+    assert list(ground) == list(lifted)
+    for rv in g.rvs:
+        assert max_delta(ground[rv], lifted[rv]) <= 1e-12
+
+
 def test_cbp_matches_bp_on_compressed_three_rv(three_rv):
     m = compress(three_rv, run_cp(three_rv))
     cbp = counting_bp(m, iters=4)
