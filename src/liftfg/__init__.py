@@ -6,9 +6,7 @@ from .cp import (ColourAssignment, Partition, LiftedModel, SuperVar, SuperFactor
                  argument_symmetry_classes, initial_colours, cp_round, run_cp,
                  compress, singleton_partition, serialize_lifted)
 from .lifg import (NeighbourhoodSignature, CandidateSet, LiftReport, LiftResult,
-                   two_step_neighbourhood, all_signatures,
-                   symmetric_neighbourhoods, possibly_identical,
-                   select_candidates, transfer_potentials, run_lifg)
+                   all_signatures, select_candidates, transfer_potentials, run_lifg)
 from .inference import (Marginal, joint_enumeration, variable_elimination,
                         loopy_bp, counting_bp, kl_divergence)
 from .benchgen import (GenParams, BenchRecord, Cohorts, RemovalResult,

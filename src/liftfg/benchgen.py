@@ -279,7 +279,7 @@ def _median_time_ns(fn, reps: int) -> int:
 
 
 def run_instance(params: GenParams, instance: int, iters: int = 50, reps: int = 5,
-                 kl_cap_d: int = 32, kl_direction: str = "pq") -> BenchRecord:
+                 kl_cap_d: int = 32) -> BenchRecord:
     """Generate, remove, lift and score a single benchmark instance."""
     inst_params = replace(params, seed=derive_seed(params.seed, params.d, instance))
     g_truth, _ = generate_instance(inst_params)
@@ -301,15 +301,9 @@ def run_instance(params: GenParams, instance: int, iters: int = 50, reps: int = 
                 delta = max(abs(a - b) for a, b in zip(m.probs, lifted_m.probs))
                 assert delta <= 1e-9, (
                     f"lifted/ground BP cross-check failed at {rv}: delta {delta}")
-            kls = []
-            for q in queries:
-                truth = variable_elimination(g_truth, q)
-                lifted_marginal = variable_elimination(result.completed, q)
-                if kl_direction == "pq":
-                    kls.append(kl_divergence(truth, lifted_marginal))
-                else:
-                    kls.append(kl_divergence(lifted_marginal, truth))
-            kl_values = tuple(kls)
+            kl_values = tuple(kl_divergence(variable_elimination(g_truth, q),
+                                            variable_elimination(result.completed, q))
+                              for q in queries)
         t_exact = _median_time_ns(
             lambda: [variable_elimination(g_truth, q) for q in queries], reps)
         t_lifted = _median_time_ns(lambda: counting_bp(result.lifted, iters), reps)
@@ -350,8 +344,7 @@ def aggregate_records(records: list[BenchRecord]) -> list[Aggregate]:
 
 def run_benchmark(battery: list[GenParams], instances_per_d: int, out=None,
                   iters: int = 50, reps: int = 5, kl_cap_d: int = 32,
-                  workers: int = 1, kl_direction: str = "pq",
-                  ) -> tuple[list[BenchRecord], list[Aggregate]]:
+                  workers: int = 1) -> tuple[list[BenchRecord], list[Aggregate]]:
     """Run the full battery; returns per-instance records plus per-d aggregates.
 
     ``out`` may be a path or file object; records are written as CSV with
@@ -362,11 +355,11 @@ def run_benchmark(battery: list[GenParams], instances_per_d: int, out=None,
     jobs = [(params, inst) for params in battery for inst in range(instances_per_d)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_instance, p, i, iters, reps, kl_cap_d, kl_direction)
+            futures = [pool.submit(run_instance, p, i, iters, reps, kl_cap_d)
                        for p, i in jobs]
             records = [f.result() for f in futures]
     else:
-        records = [run_instance(p, i, iters, reps, kl_cap_d, kl_direction)
+        records = [run_instance(p, i, iters, reps, kl_cap_d)
                    for p, i in jobs]
     records.sort(key=lambda r: (r.d, r.instance))
     aggregates = aggregate_records(records)

@@ -20,8 +20,13 @@ ENGINES = ("enumeration", "ve", "bp", "cbp")
 
 
 def _load_model(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    return parse_model(text)
 
 
 def _format_marginal(rv: str, probs) -> str:
@@ -34,7 +39,7 @@ def cmd_lift(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = run_lifg(g, args.theta, args.position_mode)
+    result = run_lifg(g, args.theta)
     outputs = {".model": serialize_model(result.completed), ".report": result.report.to_text()}
     if result.lifted is not None:
         outputs[".lifted"] = cp.serialize_lifted(result.lifted)
@@ -69,7 +74,7 @@ def cmd_infer(args) -> int:
             print("error: model contains unknown factors (use --auto-lift)",
                   file=sys.stderr)
             return 2
-        result = run_lifg(g, args.theta, args.position_mode)
+        result = run_lifg(g, args.theta)
         if not result.report.complete:
             print("error: lifting left unknown factors", file=sys.stderr)
             return 2
@@ -77,7 +82,7 @@ def cmd_infer(args) -> int:
 
     if args.engine == "cbp" and lifted is None:
         try:
-            lifted = cp.compress(g, cp.run_cp(g, args.position_mode), args.position_mode)
+            lifted = cp.compress(g, cp.run_cp(g))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -131,8 +136,7 @@ def cmd_bench(args) -> int:
     try:
         records, aggregates = run_benchmark(
             battery, args.instances, out=args.out, iters=args.iters,
-            reps=args.reps, kl_cap_d=args.kl_cap, workers=workers,
-            kl_direction=args.kl_direction)
+            reps=args.reps, kl_cap_d=args.kl_cap, workers=workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -173,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift = sub.add_parser("lift", help="group unknown factors and transfer potentials")
     p_lift.add_argument("--model", required=True)
     p_lift.add_argument("--theta", type=float, default=0.0)
-    p_lift.add_argument("--position-mode", choices=cp.POSITION_MODES, default="canonical")
     p_lift.add_argument("--out", required=True,
                         help="output prefix; writes <out>.model, <out>.lifted, <out>.report")
     p_lift.set_defaults(fn=cmd_lift)
@@ -184,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--query", action="append", required=True)
     p_infer.add_argument("--iters", type=int, default=50)
     p_infer.add_argument("--theta", type=float, default=0.0)
-    p_infer.add_argument("--position-mode", choices=cp.POSITION_MODES, default="canonical")
     p_infer.add_argument("--auto-lift", action="store_true")
     p_infer.add_argument("--format", choices=("text", "csv"), default="text")
     p_infer.set_defaults(fn=cmd_infer)
@@ -198,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--kl-cap", type=int, default=32,
                          help="largest d for which exact KL columns are computed")
-    p_bench.add_argument("--kl-direction", choices=("pq", "qp"), default="pq",
-                         help="pq: KL(ground truth || lifted); qp: reversed")
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out", default=None, help="CSV output path")
     p_bench.add_argument("--format", choices=("text", "csv"), default="text")

@@ -4,25 +4,23 @@ Random variables start coloured by (range, evidence) and factors by their
 potential tables; colours are then passed back and forth until the induced
 partition stabilises.  Messages from variables to factors are unordered
 multisets of colours; messages from factors to variables carry the position
-of the variable in the factor's argument list.
-
-Two position conventions are supported.  In ``canonical`` mode (default)
-argument positions that a factor's table treats interchangeably share one
-tag, so declaring a symmetric factor as f(A, B) or f(B, A) yields the same
-grouping.  In ``literal`` mode the raw argument index is used.
+of the variable in the factor's argument list, where positions that the
+factor's table treats interchangeably share one tag, so declaring a
+symmetric factor as f(A, B) or f(B, A) yields the same grouping.
 
 The stable partition is compressed into a :class:`LiftedModel`: one
 supervariable per variable group, one superfactor per factor group, and
-per-edge ground counts that drive counting belief propagation.
+per-edge ground counts that drive counting belief propagation.  A
+superfactor may list one supervariable in several slots, as rings, grids
+and all-pairs models do.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FactorGraph, Factor, PotentialTable
-
-POSITION_MODES = ("canonical", "literal")
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,10 @@ class LiftedModel:
     """Compressed graph: supervariables, superfactors and ground edge counts.
 
     ``edge_counts[(X, F)]`` is the number of ground factors of group F
-    adjacent to one representative ground rv of group X.
+    adjacent to one representative ground rv of group X.  When F lists X in
+    k slots, every member of X fills each symmetry class of those slots
+    equally often (``compress`` checks this), so each slot carries
+    ``edge_counts[(X, F)] / k``, which is ``F.size / X.size``.
     """
 
     supervars: tuple[SuperVar, ...]
@@ -114,16 +115,13 @@ def argument_symmetry_classes(table: PotentialTable) -> list[tuple[int, ...]]:
     return [tuple(ps) for _, ps in sorted(classes.items())]
 
 
-def position_tags(factor: Factor, mode: str = "canonical") -> tuple[int, ...]:
+def position_tags(factor: Factor) -> tuple[int, ...]:
     """Per-position tag used in factor-to-rv messages.
 
-    Canonical mode collapses symmetric positions of a known table to the
-    smallest member position of their class; unknown factors and literal
-    mode use the raw index.
+    Symmetric positions of a known table collapse to the smallest member
+    position of their class; unknown factors use the raw index.
     """
-    if mode not in POSITION_MODES:
-        raise ValueError(f"unknown position mode {mode!r}")
-    if mode == "literal" or factor.table is None:
+    if factor.table is None:
         return tuple(range(len(factor.args)))
     tags = [0] * len(factor.args)
     for cls in argument_symmetry_classes(factor.table):
@@ -132,14 +130,14 @@ def position_tags(factor: Factor, mode: str = "canonical") -> tuple[int, ...]:
     return tuple(tags)
 
 
-def _all_position_tags(g: FactorGraph, mode: str) -> dict[str, tuple[int, ...]]:
+def _all_position_tags(g: FactorGraph) -> dict[str, tuple[int, ...]]:
     """position_tags of every factor of g, computed once per distinct table."""
     by_table: dict[tuple, tuple[int, ...]] = {}
     tags = {}
     for name, f in g.factors.items():
         key = (f.table, len(f.args))
         if key not in by_table:
-            by_table[key] = position_tags(f, mode)
+            by_table[key] = position_tags(f)
         tags[name] = by_table[key]
     return tags
 
@@ -179,7 +177,6 @@ def _adjacency(g: FactorGraph) -> dict[str, list[tuple[str, int]]]:
 
 
 def cp_round(g: FactorGraph, colours: ColourAssignment,
-             position_mode: str = "canonical",
              _tags: dict[str, tuple[int, ...]] | None = None,
              _adj: dict[str, list[tuple[str, int]]] | None = None) -> ColourAssignment:
     """One full refinement round.
@@ -190,7 +187,7 @@ def cp_round(g: FactorGraph, colours: ColourAssignment,
     assigned in sorted-signature order, so the result is deterministic.
     """
     if _tags is None:
-        _tags = _all_position_tags(g, position_mode)
+        _tags = _all_position_tags(g)
     if _adj is None:
         _adj = _adjacency(g)
     factor_keys = {
@@ -220,8 +217,7 @@ def _partition_from(colours: ColourAssignment) -> Partition:
     return Partition(groups(colours.rv_colour), groups(colours.factor_colour))
 
 
-def run_cp(g: FactorGraph, position_mode: str = "canonical",
-           initial: ColourAssignment | None = None) -> Partition:
+def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition:
     """Iterate cp_round until the induced partition is stable.
 
     Unknown factors are permitted: they keep their initial colours (unique
@@ -229,11 +225,11 @@ def run_cp(g: FactorGraph, position_mode: str = "canonical",
     monotone, so at most |rvs| + |factors| rounds are needed.
     """
     colours = initial if initial is not None else initial_colours(g)
-    tags = _all_position_tags(g, position_mode)
+    tags = _all_position_tags(g)
     adj = _adjacency(g)
     part = _partition_from(colours)
     for _ in range(len(g.rvs) + len(g.factors) + 1):
-        colours = cp_round(g, colours, position_mode, _tags=tags, _adj=adj)
+        colours = cp_round(g, colours, _tags=tags, _adj=adj)
         new_part = _partition_from(colours)
         if new_part == part:
             return part
@@ -241,14 +237,15 @@ def run_cp(g: FactorGraph, position_mode: str = "canonical",
     raise AssertionError("colour refinement failed to stabilise within its bound")
 
 
-def compress(g: FactorGraph, partition: Partition,
-             position_mode: str = "canonical") -> LiftedModel:
+def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
     """Build the lifted model for a CP-stable partition of g.
 
     Every factor group must be fully known and share one table.  Superfactor
-    argument slots are canonical: in canonical mode, positions inside one
-    table symmetry class are ordered by the supervar they hold, which is
-    well defined exactly when the partition is stable.
+    argument slots are canonical: positions inside one table symmetry class
+    are ordered by the supervar they hold, which is well defined exactly
+    when the partition is stable.  Raises ValueError when the partition is
+    not stable, including when the members of a supervar held by several
+    slots fill those slots' symmetry classes unequally often.
     """
     rv_group_of = partition.rv_group_of()
     supervars = []
@@ -269,17 +266,23 @@ def compress(g: FactorGraph, partition: Partition,
             raise ValueError(f"factor group {members} contains unknown factor {rep.name}")
         # canonical slot layout from the representative: inside a table
         # symmetry class, positions are ordered by the supervar they hold
-        if position_mode == "canonical":
-            if rep.table not in classes_of:
-                classes_of[rep.table] = argument_symmetry_classes(rep.table)
-            classes = classes_of[rep.table]
-        else:
-            classes = [(p,) for p in range(len(rep.args))]
+        if rep.table not in classes_of:
+            classes_of[rep.table] = argument_symmetry_classes(rep.table)
+        classes = classes_of[rep.table]
         slots: list[str | None] = [None] * len(rep.args)
         for cls in classes:
             held = sorted(sv_name_of_group[rv_group_of[rep.args[p]]] for p in cls)
             for slot, sv in zip(cls, held):
                 slots[slot] = sv
+        # a supervar in several slots: count how often each ground rv fills
+        # each symmetry class, which the adjacency totals below cannot see
+        fills = None
+        if len(set(slots)) < len(slots):
+            class_of = [0] * len(slots)
+            for ci, cls in enumerate(classes):
+                for p in cls:
+                    class_of[p] = ci
+            fills = Counter(zip(rep.args, class_of))
         # align every other member to the slots: arguments may be permuted
         # across members (potential transfer aligns tables to local argument
         # orders), but after matching argument groups to slot supervars the
@@ -308,6 +311,18 @@ def compress(g: FactorGraph, partition: Partition,
                 raise ValueError(
                     f"factor group {members} mixes tables that no argument "
                     f"alignment reconciles")
+            if fills is not None:
+                fills.update(zip((f.args[p] for p in axes), class_of))
+        if fills is not None:
+            per_class: dict[tuple[int, int], list[int]] = {}
+            for (rv, ci), c in fills.items():
+                per_class.setdefault((rv_group_of[rv], ci), []).append(c)
+            for (gi, ci), cs in per_class.items():
+                if len(cs) != len(partition.rv_groups[gi]) or min(cs) != max(cs):
+                    raise ValueError(
+                        f"factor group {members} is not stable: the members of "
+                        f"{sv_name_of_group[gi]} fill the slots of symmetry class "
+                        f"{classes[ci]} unequally")
         superfactors.append(SuperFactor(rep.name, len(members), rep.table,
                                         tuple(slots), members))
 

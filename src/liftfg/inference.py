@@ -14,7 +14,8 @@ incoming log messages minus the one from that factor.  Ground BP runs the
 kernel straight on the evidence-sliced factors with every count one;
 counting BP runs it on a compressed model, raising messages to the ground
 edge counts (Kersting, Ahmadi and Natarajan, "Counting Belief
-Propagation", UAI 2009).  Counting BP on the trivial lifting (every group a
+Propagation", UAI 2009); a supervariable in k slots of one superfactor
+gives each slot 1/k of its count.  Counting BP on the trivial lifting (every group a
 singleton) reproduces ground BP bit for bit unless a table is symmetric
 under an argument swap: ``compress`` then orders those slots by variable
 name rather than argument order, so products are taken in another order
@@ -330,16 +331,14 @@ def _sliced_superfactors(m: LiftedModel) -> tuple[list, list, list, list]:
 
     Returns the free supervariables and, per superfactor with a free slot,
     its sliced table, the free-supervariable index of each slot and the
-    edge count of each slot.
+    edge count of each slot.  A supervariable that fills k slots of one
+    superfactor gives each of them 1/k of its edge count.
     """
     free = [sv for sv in m.supervars if sv.evidence is None]
     observed = {sv.name: sv for sv in m.supervars if sv.evidence is not None}
     var_index = {sv.name: i for i, sv in enumerate(free)}
     tables, slots, counts = [], [], []
     for sf in m.superfactors:
-        if len(set(sf.args)) != len(sf.args):
-            raise ValueError(f"superfactor {sf.name} repeats a supervariable; "
-                             "counting BP does not support this shape")
         arr = sf.table.array()
         index: list[object] = []
         ss, cc = [], []
@@ -349,7 +348,7 @@ def _sliced_superfactors(m: LiftedModel) -> tuple[list, list, list, list]:
             else:
                 index.append(slice(None))
                 ss.append(var_index[sv_name])
-                cc.append(m.edge_counts[(sv_name, sf.name)])
+                cc.append(m.edge_counts[(sv_name, sf.name)] / sf.args.count(sv_name))
         arr = arr[tuple(index)]
         if ss:
             tables.append(arr)

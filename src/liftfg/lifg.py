@@ -83,23 +83,6 @@ class LiftResult:
     partition: cp.Partition
 
 
-def two_step_neighbourhood(g: FactorGraph, factor_name: str) -> frozenset[str]:
-    """All rvs adjacent to the factor plus all factors adjacent to those rvs.
-
-    The factor itself is always included.  Names are unambiguous because the
-    validator rejects rv/factor name collisions.
-    """
-    if factor_name not in g.factors:
-        raise KeyError(f"no factor named {factor_name!r}")
-    f = g.factors[factor_name]
-    nodes = set(f.args)
-    for rv in f.args:
-        for other_name, other in g.factors.items():
-            if rv in other.args:
-                nodes.add(other_name)
-    return frozenset(nodes)
-
-
 def _rv_triples(g: FactorGraph, names) -> list[tuple[int, tuple[str, ...], int]]:
     """The named rvs' (evidence, range, degree) triples, evidence -1 when unobserved."""
     degree = g._degree
@@ -112,25 +95,6 @@ def all_signatures(g: FactorGraph) -> dict[str, NeighbourhoodSignature]:
     triples = dict(zip(g.rvs, _rv_triples(g, g.rvs)))
     return {name: NeighbourhoodSignature(len(f.args), tuple(sorted(triples[a] for a in f.args)))
             for name, f in g.factors.items()}
-
-
-def symmetric_neighbourhoods(g: FactorGraph, f_i: str, f_j: str) -> bool:
-    """True iff the two factors' 2-step neighbourhoods are symmetric.
-
-    Equality of the sorted triple multisets is equivalent to the existence
-    of a neighbour bijection preserving evidence, range and degree.
-    """
-    signatures = all_signatures(g)
-    return signatures[f_i] == signatures[f_j]
-
-
-def possibly_identical(g: FactorGraph, f_i: str, f_j: str) -> bool:
-    if f_i == f_j:
-        raise ValueError("possibly_identical is defined for distinct factors")
-    if not symmetric_neighbourhoods(g, f_i, f_j):
-        return False
-    a, b = g.factors[f_i], g.factors[f_j]
-    return a.is_unknown or b.is_unknown or a.table == b.table
 
 
 def select_candidates(candidates):
@@ -172,7 +136,7 @@ def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> Po
     return PotentialTable.from_array(arr)
 
 
-def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical") -> LiftResult:
+def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
     """Full lifting pass: group unknowns, transfer potentials, refine, compress.
 
     Returns the completed graph (unknown factors replaced where a transfer
@@ -234,11 +198,11 @@ def run_lifg(g: FactorGraph, theta: float, position_mode: str = "canonical") -> 
     completed = g.replace_factors(replacements) if replacements else g
     complete = not completed.has_unknown
     initial = cp.ColourAssignment(rv_colours, colours)
-    partition = cp.run_cp(completed, position_mode, initial=initial)
+    partition = cp.run_cp(completed, initial=initial)
     lifted = None
     if complete:
         try:
-            lifted = cp.compress(completed, partition, position_mode)
+            lifted = cp.compress(completed, partition)
         except ValueError:
             lifted = None   # stable partition without a slot-consistent lifting
     return LiftResult(completed, lifted, LiftReport(tuple(records), complete), partition)

@@ -95,6 +95,20 @@ def test_infer_engines_agree(model_file, capsys, engine):
     assert got == pytest.approx(expected, abs=1e-9)
 
 
+def test_infer_cbp_on_ring_matches_bp(tmp_path, capsys):
+    # every pairwise factor lists the ring's one supervariable twice
+    lines = [f"randvar X{i} x y\nfactor u{i} X{i} | 1 1.5" for i in range(8)]
+    lines += [f"factor f{i} X{i} X{(i + 1) % 8} | 1 2 2 1" for i in range(8)]
+    path = tmp_path / "ring.fg"
+    path.write_text("\n".join(lines) + "\n")
+    got = {}
+    for engine in ("bp", "cbp"):
+        assert main(["infer", "--model", str(path), "--engine", engine,
+                     "--query", "X3"]) == 0
+        got[engine] = [float(tok) for tok in capsys.readouterr().out.split(":")[1].split()]
+    assert got["cbp"] == pytest.approx(got["bp"], abs=1e-9)
+
+
 def test_infer_csv_format(model_file, capsys):
     assert main(["infer", "--model", str(model_file), "--query", "B",
                  "--format", "csv"]) == 0
@@ -196,8 +210,14 @@ def _write_free_booleans(path, n):
     return path
 
 
+def _write_non_utf8(path):
+    """A model whose label holds byte 0xff at offset 13."""
+    path.write_bytes(b"randvar A x y\xff\nfactor f A | 1 2\n")
+    return path
+
+
 @pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir", "threads_env",
-                                  "enumeration_cap"])
+                                  "enumeration_cap", "non_utf8_model"])
 def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
                                                monkeypatch, capsys):
     missing = tmp_path / "no_such_dir"
@@ -209,18 +229,24 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
         "enumeration_cap": ["infer", "--model",
                             str(_write_free_booleans(tmp_path / "wide.fg", 30)),
                             "--engine", "enumeration", "--query", "X0"],
+        "non_utf8_model": ["infer", "--model", str(_write_non_utf8(tmp_path / "latin1.fg")),
+                           "--query", "A"],
     }[case]
     if case == "threads_env":
         monkeypatch.setenv("LIFTFG_THREADS", "abc")
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case == "non_utf8_model":
+        assert "latin1.fg" in err and "byte 13" in err
 
 
 @pytest.mark.parametrize("argv", [
     ["infer", "--model", "x.fg", "--query", "A", "--engine", "foo"],   # bad choice
     ["infer", "--model", "x.fg"],                                       # missing --query
     ["frobnicate"],                                                     # unknown subcommand
-], ids=["bad_choice", "missing_required", "unknown_subcommand"])
+    ["lift", "--model", "x.fg", "--out", "x", "--position-mode", "literal"],  # removed option
+], ids=["bad_choice", "missing_required", "unknown_subcommand", "removed_option"])
 def test_usage_errors_exit_1_without_traceback(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

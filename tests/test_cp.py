@@ -203,29 +203,24 @@ factor phi2 {args} | 2 3 3 5
 
 def test_positions_asymmetric_table_aligned_args():
     g = parse_model(SHARED_ASYM.format(args="C B"))
-    for mode in ("canonical", "literal"):
-        part = run_cp(g, position_mode=mode)
-        assert blocks(part.rv_groups) == {frozenset("AC"), frozenset("B")}
+    part = run_cp(g)
+    assert blocks(part.rv_groups) == {frozenset("AC"), frozenset("B")}
 
 
 def test_positions_asymmetric_table_swapped_args_split():
     # B sits at position 1 in phi1 but position 0 in phi2: with an
     # asymmetric table those roles differ, so nothing may group.
     g = parse_model(SHARED_ASYM.format(args="B C"))
-    for mode in ("canonical", "literal"):
-        part = run_cp(g, position_mode=mode)
-        assert all(len(grp) == 1 for grp in part.rv_groups)
-        assert all(len(grp) == 1 for grp in part.factor_groups)
+    part = run_cp(g)
+    assert all(len(grp) == 1 for grp in part.rv_groups)
+    assert all(len(grp) == 1 for grp in part.factor_groups)
 
 
 def test_positions_symmetric_table_swapped_args():
-    # a symmetric table makes the argument order irrelevant in canonical
-    # mode; literal mode still reads positions verbatim and splits.
+    # a symmetric table makes the argument order irrelevant
     g = parse_model(SHARED_SYM.format(args="B C"))
-    canonical = run_cp(g, position_mode="canonical")
-    assert blocks(canonical.rv_groups) == {frozenset("AC"), frozenset("B")}
-    literal = run_cp(g, position_mode="literal")
-    assert all(len(grp) == 1 for grp in literal.rv_groups)
+    part = run_cp(g)
+    assert blocks(part.rv_groups) == {frozenset("AC"), frozenset("B")}
 
 
 # --- compression ---------------------------------------------------------------
@@ -265,6 +260,22 @@ def test_compress_rejects_unstable_partition(three_rv):
     bogus = Partition((("A", "B", "C"),), (("phi1", "phi2"),))
     with pytest.raises(ValueError, match="not stable"):
         compress(three_rv, bogus)
+    # every rv touches two factors of the group, but a and d only ever fill
+    # the first slot of the asymmetric table and b and c only the second,
+    # so one supervariable cannot stand for all four
+    square = parse_model("""
+    randvar a x y
+    randvar b x y
+    randvar c x y
+    randvar d x y
+    factor f1 a b | 1 2 3 4
+    factor f2 a c | 1 2 3 4
+    factor f3 d b | 1 2 3 4
+    factor f4 d c | 1 2 3 4
+    """)
+    bogus = Partition((("a", "b", "c", "d"),), (("f1", "f2", "f3", "f4"),))
+    with pytest.raises(ValueError, match="not stable"):
+        compress(square, bogus)
 
 
 def test_compress_soundness_on_generated_instances():

@@ -278,20 +278,126 @@ def test_cbp_with_evidence(epidemic):
         assert max_delta(bp[rv], cbp[sv[rv]]) <= 1e-9
 
 
-def test_cbp_rejects_repeated_supervar_slots():
+def assert_cbp_matches_bp(g, iters):
+    """Counting BP on the colour-passing lifting equals ground BP at 1e-9."""
+    m = compress(g, run_cp(g))
+    cbp = counting_bp(m, iters)
+    bp = loopy_bp(g, iters)
+    sv = m.supervar_of()
+    for rv in g.rvs:
+        assert max_delta(bp[rv], cbp[sv[rv]]) <= 1e-9
+    return m
+
+
+def test_cbp_matches_bp_with_repeated_supervar_slots():
     # a two-cycle with a symmetric table folds both rvs into one group, so
-    # the superfactor would need the same supervariable twice
+    # the superfactor holds the same supervariable in both slots
     g = parse_model("""
     randvar A x y
     randvar B x y
     factor f1 A B | 2 3 3 5
     factor f2 B A | 2 3 3 5
     """)
-    m = compress(g, run_cp(g))
+    m = assert_cbp_matches_bp(g, 3)
     sf, = m.superfactors
     assert sf.args == ("A", "A")
-    with pytest.raises(ValueError, match="repeat"):
-        counting_bp(m, 3)
+
+
+def sliding_windows(n, values):
+    """A ring of Boolean rvs X0..X{n-1}, one unary factor each, and one factor
+    per i over X(i), X(i + 1), ... (mod n) as wide as the table."""
+    width = int(math.log2(len(values)))
+    table = PotentialTable((2,) * width, values)
+    rvs = [RandomVariable(f"X{i}", ("x", "y")) for i in range(n)]
+    factors = [Factor(f"f{i}", tuple(f"X{(i + o) % n}" for o in range(width)), table)
+               for i in range(n)]
+    factors += [Factor(f"u{i}", (f"X{i}",), PotentialTable((2,), (1.0, 1.5))) for i in range(n)]
+    return FactorGraph(rvs, factors)
+
+
+def torus(rows, cols):
+    """One factor to the right of and one below every cell, all with one
+    asymmetric table, so each rv fills either slot twice."""
+    def rv(r, c):
+        return f"X{r % rows}_{c % cols}"
+
+    table = PotentialTable((2, 2), (1.0, 2.0, 0.5, 3.0))
+    rvs = [RandomVariable(rv(r, c), ("x", "y")) for r in range(rows) for c in range(cols)]
+    factors = [Factor(f"u{r}_{c}", (rv(r, c),), PotentialTable((2,), (1.0, 1.4)))
+               for r in range(rows) for c in range(cols)]
+    for r in range(rows):
+        for c in range(cols):
+            factors.append(Factor(f"h{r}_{c}", (rv(r, c), rv(r, c + 1)), table))
+            factors.append(Factor(f"v{r}_{c}", (rv(r, c), rv(r + 1, c)), table))
+    return FactorGraph(rvs, factors)
+
+
+def all_pairs(n):
+    """K_n with one symmetric pairwise table: each slot counts (n - 1) / 2."""
+    table = PotentialTable((2, 2), (3.0, 1.0, 1.0, 2.0))
+    rvs = [RandomVariable(f"X{i}", ("x", "y")) for i in range(n)]
+    factors = [Factor(f"f{i}{j}", (f"X{i}", f"X{j}"), table)
+               for i, j in itertools.combinations(range(n), 2)]
+    factors += [Factor(f"u{i}", (f"X{i}",), PotentialTable((2,), (1.0, 1.5))) for i in range(n)]
+    return FactorGraph(rvs, factors)
+
+
+@pytest.mark.parametrize("g", [
+    sliding_windows(8, (1, 2, 2, 1)),
+    sliding_windows(8, (1, 2, 3, 4)),
+    sliding_windows(7, (1.0, 2.0, 0.5, 3.0, 1.5, 0.7, 2.5, 1.2)),
+    torus(4, 5),
+    all_pairs(4),
+], ids=["ring_symmetric", "ring_asymmetric", "ring_ternary", "torus_4x5", "all_pairs_k4"])
+def test_cbp_matches_bp_on_one_supervar_models(g):
+    m = assert_cbp_matches_bp(g, 30)
+    sv, = m.supervars
+    *_, counts = _sliced_superfactors(m)
+    for sf, cc in zip(m.superfactors, counts):
+        assert cc == [sf.size / sv.size] * len(sf.args)
+
+
+@st.composite
+def circulant_graphs(draw):
+    """Small graphs built from circulant templates, then partly broken up.
+
+    Each template places one table of arity 1-3, symmetric or not, at every
+    rv index (or a drawn subset of them) with fixed index offsets, so many
+    groups list one supervariable in several slots; evidence and dropped
+    factors break some of the symmetry.
+    """
+    n = draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    factors = []
+    for t in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, min(3, n)))
+        offsets = (0,) + tuple(draw(st.permutations(range(1, n)))[:k - 1])
+        symmetric = draw(st.booleans())
+        values = {}
+        arr = np.empty((2,) * k)
+        for idx in itertools.product((0, 1), repeat=k):
+            key = tuple(sorted(idx)) if symmetric else idx
+            arr[idx] = values.setdefault(key, rng.uniform(0.2, 3.0))
+        table = PotentialTable.from_array(arr)
+        at = range(n) if draw(st.integers(0, 2)) else sorted(set(draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n))))
+        for i in at:
+            factors.append(Factor(f"f{t}_{i}", tuple(f"X{(i + o) % n}" for o in offsets),
+                                  table))
+    observed = (0, 1) if draw(st.booleans()) else ()
+    evidence = draw(st.lists(st.sampled_from((None, None, None, None) + observed),
+                             min_size=n, max_size=n))
+    rvs = [RandomVariable(f"X{i}", ("x", "y"), ev) for i, ev in enumerate(evidence)]
+    return FactorGraph(rvs, factors)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(g=circulant_graphs(), iters=st.sampled_from((1, 5, 20)))
+def test_cbp_matches_bp_whenever_compress_succeeds(g, iters):
+    try:
+        assert_cbp_matches_bp(g, iters)
+    except ValueError as exc:
+        assert "mixes tables" in str(exc)
 
 
 # --- the flattened kernel against the nested-loop kernel ----------------------------
@@ -318,7 +424,7 @@ def nested_loop_bp(ranges, tables, slots, counts, iters):
             for si, vi in enumerate(ss):
                 acc = (counts[fi][si] - 1) * log_mu[fi][si]
                 for hi, ti in incident[vi]:
-                    if hi != fi:
+                    if (hi, ti) != (fi, si):
                         acc = acc + counts[hi][ti] * log_mu[hi][ti]
                 log_n[fi][si] = log_normalise(acc)
         n_lin = [[np.exp(v) for v in per_factor] for per_factor in log_n]
@@ -344,12 +450,14 @@ def nested_loop_bp(ranges, tables, slots, counts, iters):
 
 @st.composite
 def spoke_graphs(draw):
-    """Copies of a random spoke template around shared hubs, plus an isolated rv.
+    """Copies of a random spoke template around shared hubs, a ring and an isolated rv.
 
     Hub H0 (range 3) and spoke variable S0 (range 2) share the first
     template factor, so that factor always mixes range sizes and, with at
     least three copies of which at most one is observed apart, compresses
-    to a superfactor whose edge count at H0 exceeds one.
+    to a superfactor whose edge count at H0 exceeds one.  The ring of
+    sliding windows compresses to one supervariable that fills every slot
+    of its superfactor.
     """
     copies = draw(st.integers(3, 5))
     hub_ranges = [3] + draw(st.lists(st.sampled_from((2, 3)), max_size=1))
@@ -386,6 +494,14 @@ def spoke_graphs(draw):
                 continue        # a hub-only factor exists once
             args = tuple(a if a in hubs else f"{a}_{c}" for a in scope)
             factors.append(Factor(f"f{k}_{c}", args, table))
+    ring = draw(st.integers(2, 4))
+    width = draw(st.integers(2, ring))
+    ring_range = draw(st.sampled_from((2, 3)))
+    rvs += [RandomVariable(f"R{i}", labels[ring_range]) for i in range(ring)]
+    window = PotentialTable((ring_range,) * width, [rng.uniform(0.2, 3.0)
+                                                    for _ in range(ring_range ** width)])
+    factors += [Factor(f"w{i}", tuple(f"R{(i + o) % ring}" for o in range(width)), window)
+                for i in range(ring)]
     return FactorGraph(rvs, factors)
 
 
@@ -397,8 +513,9 @@ def test_flat_kernel_matches_nested_loop_oracle(g, iters):
     ranges = [len(sv.range) for sv in free]
     assert max(c for cc in counts for c in cc) > 1
     assert any(len({ranges[vi] for vi in ss}) > 1 for ss in slots)
-    iso = [sv.name for sv in free].index("Iso")
+    iso = next(i for i, sv in enumerate(free) if "Iso" in sv.members)
     assert all(iso not in ss for ss in slots)
+    assert any(len(set(ss)) < len(ss) for ss in slots)
     expected = nested_loop_bp(ranges, tables, slots, counts, iters)
     got = _run_bp(_BPStructure(ranges, tables, slots, counts), iters)
     assert len(got) == len(expected)

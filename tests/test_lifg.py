@@ -4,9 +4,8 @@ import random
 import pytest
 
 from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable, all_signatures,
-                    compress, parse_model, possibly_identical, run_cp, run_lifg,
-                    select_candidates, symmetric_neighbourhoods, transfer_potentials,
-                    two_step_neighbourhood)
+                    compress, parse_model, run_cp, run_lifg, select_candidates,
+                    transfer_potentials)
 from liftfg.benchgen import GenParams, generate_instance, remove_potentials
 from conftest import THREE_RV_TEXT, random_graph
 
@@ -28,6 +27,44 @@ def star_of_unaries(known_tables, n_unknown=1):
         rvs.append(RandomVariable(f"Y{j}", BOOL))
         factors.append(Factor(f"u{j}", (f"Y{j}",), None))
     return FactorGraph(rvs, factors)
+
+
+# --- the paper's definitions, written out as test oracles ------------------
+
+def two_step_neighbourhood(g: FactorGraph, factor_name: str) -> frozenset[str]:
+    """All rvs adjacent to the factor plus all factors adjacent to those rvs.
+
+    The factor itself is always included.  Names are unambiguous because the
+    validator rejects rv/factor name collisions.
+    """
+    if factor_name not in g.factors:
+        raise KeyError(f"no factor named {factor_name!r}")
+    f = g.factors[factor_name]
+    nodes = set(f.args)
+    for rv in f.args:
+        for other_name, other in g.factors.items():
+            if rv in other.args:
+                nodes.add(other_name)
+    return frozenset(nodes)
+
+
+def symmetric_neighbourhoods(g: FactorGraph, f_i: str, f_j: str) -> bool:
+    """True iff the two factors' 2-step neighbourhoods are symmetric.
+
+    Equality of the sorted triple multisets is equivalent to the existence
+    of a neighbour bijection preserving evidence, range and degree.
+    """
+    signatures = all_signatures(g)
+    return signatures[f_i] == signatures[f_j]
+
+
+def possibly_identical(g: FactorGraph, f_i: str, f_j: str) -> bool:
+    if f_i == f_j:
+        raise ValueError("possibly_identical is defined for distinct factors")
+    if not symmetric_neighbourhoods(g, f_i, f_j):
+        return False
+    a, b = g.factors[f_i], g.factors[f_j]
+    return a.is_unknown or b.is_unknown or a.table == b.table
 
 
 # --- 2-step neighbourhoods -----------------------------------------------
