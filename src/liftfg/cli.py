@@ -23,7 +23,7 @@ def _load_model(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
     return parse_model(text)

@@ -1,8 +1,8 @@
 """Colour passing: iterated colour refinement over a factor graph.
 
 Random variables start coloured by (range, evidence) and factors by their
-potential tables; colours are then passed back and forth until the induced
-partition stabilises.  Messages from variables to factors are unordered
+potential tables; colours are then passed back and forth until a round
+adds no colour, which means the induced partition is stable.  Messages from variables to factors are unordered
 multisets of colours; messages from factors to variables carry the position
 of the variable in the factor's argument list, where positions that the
 factor's table treats interchangeably share one tag, so declaring a
@@ -16,11 +16,12 @@ and all-pairs models do.
 """
 
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactorGraph, Factor, PotentialTable
+from .model import FactorGraph, PotentialTable
 
 
 @dataclass(frozen=True)
@@ -115,37 +116,32 @@ def argument_symmetry_classes(table: PotentialTable) -> list[tuple[int, ...]]:
     return [tuple(ps) for _, ps in sorted(classes.items())]
 
 
-def position_tags(factor: Factor) -> tuple[int, ...]:
-    """Per-position tag used in factor-to-rv messages.
+def _all_position_tags(g: FactorGraph) -> dict[str, tuple[int, ...]]:
+    """Per-position tag of every factor of g, used in factor-to-rv messages.
 
     Symmetric positions of a known table collapse to the smallest member
-    position of their class; unknown factors use the raw index.
+    position of their class; unknown factors use the raw index.  Tags are
+    computed once per distinct (table, arity).
     """
-    if factor.table is None:
-        return tuple(range(len(factor.args)))
-    tags = [0] * len(factor.args)
-    for cls in argument_symmetry_classes(factor.table):
-        for p in cls:
-            tags[p] = min(cls)
-    return tuple(tags)
-
-
-def _all_position_tags(g: FactorGraph) -> dict[str, tuple[int, ...]]:
-    """position_tags of every factor of g, computed once per distinct table."""
     by_table: dict[tuple, tuple[int, ...]] = {}
     tags = {}
     for name, f in g.factors.items():
         key = (f.table, len(f.args))
         if key not in by_table:
-            by_table[key] = position_tags(f)
+            tag = list(range(len(f.args)))
+            if f.table is not None:
+                for cls in argument_symmetry_classes(f.table):
+                    for p in cls:
+                        tag[p] = min(cls)
+            by_table[key] = tuple(tag)
         tags[name] = by_table[key]
     return tags
 
 
 def _dense(keys: dict[str, tuple]) -> dict[str, int]:
-    """Assign dense colour ids 0..k-1 in sorted-signature order."""
-    order = {sig: i for i, sig in enumerate(sorted(set(keys.values())))}
-    return {name: order[sig] for name, sig in keys.items()}
+    """Number the distinct signatures 0..k-1 in order of first appearance."""
+    ids: dict[tuple, int] = {}
+    return {name: ids.setdefault(sig, len(ids)) for name, sig in keys.items()}
 
 
 def initial_colours(g: FactorGraph) -> ColourAssignment:
@@ -183,8 +179,9 @@ def cp_round(g: FactorGraph, colours: ColourAssignment,
 
     (a) every factor is rekeyed by the multiset of its argument colours plus
     its own colour; (b) every rv is rekeyed by the multiset of (new factor
-    colour, position tag) pairs plus its own colour.  New ids are dense and
-    assigned in sorted-signature order, so the result is deterministic.
+    colour, position tag) pairs plus its own colour.  New ids are dense per
+    namespace and follow the first appearance of each signature in the
+    graph's rv and factor order, so the result is deterministic.
     """
     if _tags is None:
         _tags = _all_position_tags(g)
@@ -206,6 +203,10 @@ def cp_round(g: FactorGraph, colours: ColourAssignment,
     return ColourAssignment(new_rv, new_factor)
 
 
+def _colour_count(colours: ColourAssignment) -> int:
+    return len(set(colours.rv_colour.values())) + len(set(colours.factor_colour.values()))
+
+
 def _partition_from(colours: ColourAssignment) -> Partition:
     def groups(colour_map: dict[str, int]) -> tuple[tuple[str, ...], ...]:
         by_colour: dict[int, list[str]] = {}
@@ -218,23 +219,37 @@ def _partition_from(colours: ColourAssignment) -> Partition:
 
 
 def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition:
-    """Iterate cp_round until the induced partition is stable.
+    """Iterate cp_round until a round adds no colour; return the partition.
 
-    Unknown factors are permitted: they keep their initial colours (unique
-    unless the caller pre-grouped them via ``initial``).  Refinement is
-    monotone, so at most |rvs| + |factors| rounds are needed.
+    Every round keys a node by its own colour too, so each colouring refines
+    the one before it, and a round that keeps the number of rv plus factor
+    colours keeps the partition.  Unknown factors are permitted: they keep
+    their initial colours (unique unless the caller pre-grouped them via
+    ``initial``).
     """
     colours = initial if initial is not None else initial_colours(g)
     tags = _all_position_tags(g)
     adj = _adjacency(g)
-    part = _partition_from(colours)
-    for _ in range(len(g.rvs) + len(g.factors) + 1):
+    before, count = -1, _colour_count(colours)
+    while count != before:
         colours = cp_round(g, colours, _tags=tags, _adj=adj)
-        new_part = _partition_from(colours)
-        if new_part == part:
-            return part
-        part = new_part
-    raise AssertionError("colour refinement failed to stabilise within its bound")
+        before, count = count, _colour_count(colours)
+    return _partition_from(colours)
+
+
+def _check_covers(g: FactorGraph, partition: Partition):
+    """Raise ValueError unless every rv and factor of g is in exactly one group."""
+    for kind, groups, nodes in (("rv", partition.rv_groups, g.rvs),
+                                ("factor", partition.factor_groups, g.factors)):
+        listed = list(chain.from_iterable(groups))
+        if len(listed) == len(nodes) and nodes.keys() == set(listed) and all(groups):
+            continue
+        counts = Counter(listed)
+        problems = ([f"{kind} {m!r} is in no group" for m in nodes if m not in counts]
+                    + [f"{kind} {m!r} is not in the graph" for m in counts if m not in nodes]
+                    + [f"{kind} {m!r} is listed {c} times" for m, c in counts.items() if c > 1]
+                    + [f"a {kind} group is empty"])
+        raise ValueError(f"partition does not cover the graph: {problems[0]}")
 
 
 def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
@@ -243,20 +258,22 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
     Every factor group must be fully known and share one table.  Superfactor
     argument slots are canonical: positions inside one table symmetry class
     are ordered by the supervar they hold, which is well defined exactly
-    when the partition is stable.  Raises ValueError when the partition is
-    not stable, including when the members of a supervar held by several
-    slots fill those slots' symmetry classes unequally often.
+    when the partition is stable.  Raises ValueError when the partition does
+    not hold every rv and factor of g exactly once, or is not stable,
+    including when the members of a supervar held by several slots fill
+    those slots' symmetry classes unequally often.
     """
-    rv_group_of = partition.rv_group_of()
-    supervars = []
-    sv_name_of_group: dict[int, str] = {}
-    for gi, members in enumerate(partition.rv_groups):
+    _check_covers(g, partition)
+    supervars: dict[str, SuperVar] = {}
+    sv_of: dict[str, str] = {}      # ground rv -> supervar name
+    for members in partition.rv_groups:
         rep = g.rvs[members[0]]
         for m in members[1:]:
             if g.rvs[m].range != rep.range or g.rvs[m].evidence != rep.evidence:
                 raise ValueError(f"rv group {members} mixes ranges or evidence")
-        supervars.append(SuperVar(rep.name, len(members), rep.range, rep.evidence, members))
-        sv_name_of_group[gi] = rep.name
+        supervars[rep.name] = SuperVar(rep.name, len(members), rep.range, rep.evidence, members)
+        for m in members:
+            sv_of[m] = rep.name
 
     superfactors = []
     classes_of: dict[PotentialTable, list[tuple[int, ...]]] = {}
@@ -271,7 +288,7 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
         classes = classes_of[rep.table]
         slots: list[str | None] = [None] * len(rep.args)
         for cls in classes:
-            held = sorted(sv_name_of_group[rv_group_of[rep.args[p]]] for p in cls)
+            held = sorted(sv_of[rep.args[p]] for p in cls)
             for slot, sv in zip(cls, held):
                 slots[slot] = sv
         # a supervar in several slots: count how often each ground rv fills
@@ -297,7 +314,7 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
                 raise ValueError(f"factor group {members} mixes arities")
             positions_of: dict[str, list[int]] = {}
             for p, arg in enumerate(f.args):
-                positions_of.setdefault(sv_name_of_group[rv_group_of[arg]], []).append(p)
+                positions_of.setdefault(sv_of[arg], []).append(p)
             try:
                 taken = {sv: iter(ps) for sv, ps in positions_of.items()}
                 axes = [next(taken[sv]) for sv in slots]
@@ -316,27 +333,24 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
         if fills is not None:
             per_class: dict[tuple[int, int], list[int]] = {}
             for (rv, ci), c in fills.items():
-                per_class.setdefault((rv_group_of[rv], ci), []).append(c)
-            for (gi, ci), cs in per_class.items():
-                if len(cs) != len(partition.rv_groups[gi]) or min(cs) != max(cs):
+                per_class.setdefault((sv_of[rv], ci), []).append(c)
+            for (sv, ci), cs in per_class.items():
+                if len(cs) != supervars[sv].size or min(cs) != max(cs):
                     raise ValueError(
                         f"factor group {members} is not stable: the members of "
-                        f"{sv_name_of_group[gi]} fill the slots of symmetry class "
+                        f"{sv} fill the slots of symmetry class "
                         f"{classes[ci]} unequally")
         superfactors.append(SuperFactor(rep.name, len(members), rep.table,
                                         tuple(slots), members))
 
     factor_group_name = {m: sf.name for sf in superfactors for m in sf.members}
-    incident: dict[str, list[str]] = {name: [] for name in g.rvs}
-    for fname, f in g.factors.items():
-        for arg in f.args:
-            incident[arg].append(fname)
+    adj = _adjacency(g)
     edge_counts: dict[tuple[str, str], int] = {}
-    for sv in supervars:
+    for sv in supervars.values():
         counts_per_member = []
         for member in sv.members:
             counts: dict[str, int] = {}
-            for fname in incident[member]:
+            for fname, _ in adj[member]:
                 gname = factor_group_name[fname]
                 counts[gname] = counts.get(gname, 0) + 1
             counts_per_member.append(counts)
@@ -346,7 +360,7 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
         for gname, c in counts_per_member[0].items():
             edge_counts[(sv.name, gname)] = c
 
-    return LiftedModel(tuple(supervars), tuple(superfactors), edge_counts)
+    return LiftedModel(tuple(supervars.values()), tuple(superfactors), edge_counts)
 
 
 def singleton_partition(g: FactorGraph) -> Partition:

@@ -53,7 +53,7 @@ class Marginal:
     def normalised(cls, rv: str, weights) -> "Marginal":
         w = np.asarray(weights, dtype=float)
         total = w.sum()
-        if not total > 0.0:
+        if not 0.0 < total < math.inf:
             raise ValueError(f"cannot normalise marginal of {rv}: total mass {total}")
         return cls(rv, tuple((w / total).tolist()))
 

@@ -12,6 +12,15 @@ factor phi1 A B | 2 3 3 5
 factor phi2 C B | 2 3 3 5
 """
 
+# every product of these tables overflows to inf
+OVERFLOWING_TEXT = """\
+randvar A x y
+randvar B x y
+factor f A B | 1e308 1e308 1e308 1e308
+factor g B | 1e308 1e308
+factor h A | 1e308 1
+"""
+
 
 @pytest.fixture
 def three_rv():

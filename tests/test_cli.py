@@ -2,7 +2,7 @@ import pytest
 
 from liftfg import parse_model, variable_elimination
 from liftfg.cli import main
-from conftest import THREE_RV_TEXT
+from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT
 
 UNKNOWN_PAIR = THREE_RV_TEXT.replace("factor phi2 C B | 2 3 3 5",
                                      "factor phi2 C B | unknown")
@@ -203,6 +203,18 @@ factor u4 X4 | 1.0 1.3
                  "--query", "X0"]) == 0
 
 
+def test_infer_accepts_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.fg", tmp_path / "bom.fg"
+    plain.write_text(THREE_RV_TEXT, encoding="utf-8")
+    bom.write_text(THREE_RV_TEXT, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    outs = []
+    for path in (plain, bom):
+        assert main(["infer", "--model", str(path), "--engine", "ve", "--query", "B"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("marginal B: ")
+
+
 def _write_free_booleans(path, n):
     """n free Boolean variables, each under its own unary factor."""
     lines = [f"randvar X{i} t f\nfactor u{i} X{i} | 1 2" for i in range(n)]
@@ -217,10 +229,14 @@ def _write_non_utf8(path):
 
 
 @pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir", "threads_env",
-                                  "enumeration_cap", "non_utf8_model"])
+                                  "enumeration_cap", "non_utf8_model",
+                                  "overflowing_potentials"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
                                                monkeypatch, capsys):
     missing = tmp_path / "no_such_dir"
+    overflowing = tmp_path / "overflow.fg"
+    overflowing.write_text(OVERFLOWING_TEXT)
     bench = ["bench", "--d", "2", "--instances", "1", "--reps", "1"]
     argv = {
         "lift_out_dir": ["lift", "--model", str(unknown_file), "--out", str(missing / "x")],
@@ -231,12 +247,19 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
                             "--engine", "enumeration", "--query", "X0"],
         "non_utf8_model": ["infer", "--model", str(_write_non_utf8(tmp_path / "latin1.fg")),
                            "--query", "A"],
+        "overflowing_potentials": ["infer", "--model", str(overflowing), "--engine", "ve",
+                                   "--query", "A"],
     }[case]
     if case == "threads_env":
         monkeypatch.setenv("LIFTFG_THREADS", "abc")
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    if case == "overflowing_potentials":
+        # numpy's overflow warning may precede the error line
+        assert "error: cannot normalise marginal of A: total mass inf" in err
+        assert "Traceback" not in err
+    else:
+        assert err.startswith("error: ")
     if case == "non_utf8_model":
         assert "latin1.fg" in err and "byte 13" in err
 

@@ -1,10 +1,15 @@
 import random
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
-from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable,
-                    argument_symmetry_classes, compress, cp_round, initial_colours,
-                    parse_model, run_cp, serialize_lifted, singleton_partition)
+from liftfg import (ColourAssignment, Factor, FactorGraph, Partition, PotentialTable,
+                    RandomVariable, argument_symmetry_classes, compress, cp_round,
+                    initial_colours, parse_model, run_cp, serialize_lifted,
+                    singleton_partition)
+from liftfg import cp
 from liftfg.cp import _partition_from
 from liftfg.benchgen import GenParams, generate_instance
 from conftest import THREE_RV_TEXT, random_graph
@@ -182,6 +187,102 @@ def test_evidence_splits_groups():
     assert blocks(part.rv_groups) == {frozenset("A"), frozenset("B"), frozenset("C")}
 
 
+def oracle_run_cp(g, initial=None):
+    """Reference loop: build and compare the whole partition after every round."""
+    colours = initial if initial is not None else initial_colours(g)
+    part = _partition_from(colours)
+    for _ in range(len(g.rvs) + len(g.factors) + 1):
+        colours = cp.cp_round(g, colours)
+        new_part = _partition_from(colours)
+        if new_part == part:
+            return part
+        part = new_part
+    raise AssertionError("colour refinement failed to stabilise within its bound")
+
+
+def counted_rounds(run, g, initial):
+    """Result of run(g, initial) and its number of cp.cp_round calls."""
+    with mock.patch.object(cp, "cp_round", wraps=cp.cp_round) as spy:
+        result = run(g, initial)
+    return result, spy.call_count
+
+
+@st.composite
+def refinement_cases(draw):
+    """A random graph and the initial colouring run_cp starts from.
+
+    Ranges 2 and 3, evidence, an optional chain of one shared table (many
+    rounds when anchored), tables shared between factors or invariant under
+    swapping their first two arguments, and unknown factors.  Three in four
+    graphs with unknowns pre-group them into shared colours and may give
+    one known factor such a colour, as run_lifg does before it calls
+    run_cp; the other graphs start from initial_colours.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n, hidden = rng.randint(1, 12), rng.choice((0.05, 0.3))
+    mixed = rng.random() < 0.5
+    ranges = [rng.choice((2, 3)) if mixed else 2 for _ in range(n)]
+    names = [f"X{i}" for i in range(n)]
+    pool: dict[tuple, PotentialTable] = {}   # first table of each shape
+
+    def table(shape, symmetric, reuse=0.7):
+        if shape in pool and rng.random() < reuse:
+            return pool[shape]
+        arr = np.array([rng.choice((0.5, 1.0, 2.0, rng.uniform(0.2, 3.0)))
+                        for _ in range(int(np.prod(shape)))]).reshape(shape)
+        if symmetric and len(shape) > 1 and shape[0] == shape[1]:
+            arr = arr + arr.swapaxes(0, 1)
+        t = PotentialTable.from_array(arr)
+        pool.setdefault(shape, t)
+        return t
+
+    factors = []
+    if rng.random() < 0.6:
+        for i in range(n - 1):
+            shape = (ranges[i], ranges[i + 1])
+            t = None if rng.random() < hidden else table(shape, True, 1.0)
+            factors.append(Factor(f"c{i}", (names[i], names[i + 1]), t))
+    for j in range(rng.randint(0, 4) if rng.random() < 0.6 else 0):
+        args = tuple(rng.sample(names, rng.randint(1, min(3, n))))
+        shape = tuple(ranges[names.index(a)] for a in args)
+        t = None if rng.random() < hidden else table(shape, rng.random() < 0.4)
+        factors.append(Factor(f"f{j}", args, t))
+    anchor, evidence = rng.choice((0.7, 1.0)), rng.choice((0.0, 0.1, 0.3))
+    for name, size in zip(names, ranges):
+        if rng.random() < anchor:
+            factors.append(Factor(f"u{name}", (name,), table((size,), False, anchor)))
+    rvs = [RandomVariable(name, ("a", "b", "c")[:size],
+                          rng.randrange(size) if rng.random() < evidence else None)
+           for name, size in zip(names, ranges)]
+    g = FactorGraph(rvs, factors)
+    unknown = sorted(f.name for f in factors if f.is_unknown)
+    known = sorted(f.name for f in factors if not f.is_unknown)
+    if not unknown or rng.random() < 0.25:
+        return g, None
+    start = initial_colours(g)
+    colour = dict(start.factor_colour)
+    bucket_colour: dict[int, int] = {}
+    for name in unknown:
+        colour[name] = bucket_colour.setdefault(rng.randrange(2), colour[name])
+    if known and rng.random() < 0.5:
+        colour[rng.choice(known)] = colour[unknown[0]]
+    return g, ColourAssignment(start.rv_colour, colour)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(refinement_cases())
+def test_run_cp_matches_partition_comparing_oracle(case):
+    g, initial = case
+    part, rounds = counted_rounds(run_cp, g, initial)
+    expected, oracle_rounds = counted_rounds(oracle_run_cp, g, initial)
+    assert part == expected
+    assert rounds == oracle_rounds
+    # cp_round numbers each namespace densely, whatever ids it was given
+    c = cp_round(g, initial if initial is not None else initial_colours(g))
+    for ids in (c.rv_colour.values(), c.factor_colour.values()):
+        assert sorted(set(ids)) == list(range(len(set(ids))))
+
+
 # --- position handling -------------------------------------------------------
 
 SHARED_ASYM = """\
@@ -256,7 +357,6 @@ def test_compress_rejects_unknown_factor():
 
 
 def test_compress_rejects_unstable_partition(three_rv):
-    from liftfg import Partition
     bogus = Partition((("A", "B", "C"),), (("phi1", "phi2"),))
     with pytest.raises(ValueError, match="not stable"):
         compress(three_rv, bogus)
@@ -276,6 +376,19 @@ def test_compress_rejects_unstable_partition(three_rv):
     bogus = Partition((("a", "b", "c", "d"),), (("f1", "f2", "f3", "f4"),))
     with pytest.raises(ValueError, match="not stable"):
         compress(square, bogus)
+
+
+@pytest.mark.parametrize("rv_groups, factor_groups, problem", [
+    ((("A",),), (("f",), ("h",)), "rv 'B' is in no group"),
+    ((("A",), ("B", "Z")), (("f",), ("h",)), "rv 'Z' is not in the graph"),
+    ((("A",), ("B",)), (("f",),), "factor 'h' is in no group"),
+    ((("A", "B"), ("B",)), (("f",), ("h",)), "rv 'B' is listed 2 times"),
+    ((("A",), ("B",), ()), (("f",), ("h",)), "a rv group is empty"),
+], ids=["omits_rv", "unknown_rv", "omits_factor", "rv_twice", "empty_group"])
+def test_compress_rejects_partition_not_covering_graph(rv_groups, factor_groups, problem):
+    g = parse_model("randvar A x y\nrandvar B x y\nfactor f A B | 1 2 3 4\nfactor h A | 1 2\n")
+    with pytest.raises(ValueError, match=f"partition does not cover the graph: {problem}"):
+        compress(g, Partition(rv_groups, factor_groups))
 
 
 def test_compress_soundness_on_generated_instances():
@@ -324,7 +437,7 @@ def test_termination_bound_on_long_path():
     factors = [Factor(f"e{i:02d}", (f"X{i:02d}", f"X{i + 1:02d}"), t)
                for i in range(n - 1)]
     g = FactorGraph(rvs, factors)
-    part = run_cp(g)   # must stabilise within the |rvs|+|factors| bound
+    part = run_cp(g)   # about n/2 refining rounds, then one that adds no colour
     group_of = part.rv_group_of()
     for i in range(n):
         assert group_of[f"X{i:02d}"] == group_of[f"X{n - 1 - i:02d}"]

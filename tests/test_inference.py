@@ -11,7 +11,7 @@ from liftfg import (Factor, FactorGraph, Marginal, PotentialTable, RandomVariabl
                     loopy_bp, parse_model, run_cp, singleton_partition,
                     variable_elimination)
 from liftfg.inference import _BPStructure, _run_bp, _sliced_superfactors
-from conftest import THREE_RV_TEXT, random_graph
+from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT, random_graph
 
 
 def max_delta(p, q):
@@ -94,6 +94,17 @@ def test_ve_ignores_disconnected_component():
     factor f2 C | 9 1
     """)
     assert max_delta(variable_elimination(g, "A"), joint_enumeration(g, "A")) < 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("engine", [variable_elimination, joint_enumeration])
+def test_exact_engines_reject_overflowing_mass(engine):
+    # every product overflows to inf, so the total mass is inf and a
+    # division would give nan nan; ground BP normalises per message
+    g = parse_model(OVERFLOWING_TEXT)
+    with pytest.raises(ValueError, match="cannot normalise marginal of A: total mass inf"):
+        engine(g, "A")
+    assert loopy_bp(g, 10)["A"].probs == pytest.approx((1.0, 1e-308), rel=1e-12)
 
 
 def test_ve_hub_with_thousands_of_observed_leaves():
