@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import concurrent.futures
 import hashlib
 import math
+import os
 import random
 import statistics
 import time
@@ -349,10 +350,12 @@ def run_benchmark(battery: list[GenParams], instances_per_d: int, out=None,
 
     ``out`` may be a path or file object; records are written as CSV with
     aggregate lines appended as '#' comments.  Instances are independent,
-    so they may run in a process pool; output order is fixed by (d,
-    instance) regardless of worker count.
+    so they may run in a process pool, which starts at most one worker per
+    job and per CPU; output order is fixed by (d, instance) regardless of
+    worker count.
     """
     jobs = [(params, inst) for params in battery for inst in range(instances_per_d)]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_instance, p, i, iters, reps, kl_cap_d)

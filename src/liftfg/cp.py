@@ -39,12 +39,6 @@ class Partition:
     rv_groups: tuple[tuple[str, ...], ...]
     factor_groups: tuple[tuple[str, ...], ...]
 
-    def rv_group_of(self) -> dict[str, int]:
-        return {name: i for i, grp in enumerate(self.rv_groups) for name in grp}
-
-    def factor_group_of(self) -> dict[str, int]:
-        return {name: i for i, grp in enumerate(self.factor_groups) for name in grp}
-
 
 @dataclass(frozen=True)
 class SuperVar:

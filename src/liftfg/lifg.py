@@ -9,12 +9,13 @@ their tables are equal.
 
 The lifting procedure runs in two phases on top of the initial colouring.
 Phase 1 gives all mutually possibly-identical unknown factors one shared
-colour and collects, per unknown factor, the candidate set of possibly
-identical known factors.  Phase 2 picks the largest subset of each
-candidate set whose members agree on one table, and, if the agreeing
-fraction reaches the threshold, colours those candidates like the unknown
-factor and transfers their table onto it.  Ordinary colour passing then
-refines the pre-coloured graph and the result is compressed.
+colour and collects, per such class, the candidate set of possibly
+identical known factors.  Phase 2 runs once per phase-1 class: it picks the
+largest subset of the class's candidate set whose members agree on one
+table, and, if the agreeing fraction reaches the threshold, colours those
+candidates like the class and transfers their table onto each of its
+unknown factors.  Ordinary colour passing then refines the pre-coloured
+graph and the result is compressed.
 
 Because symmetry is implemented as signature equality (an equivalence), the
 "largest pairwise possibly-identical subset" is simply the largest
@@ -139,6 +140,9 @@ def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> Po
 def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
     """Full lifting pass: group unknowns, transfer potentials, refine, compress.
 
+    Unknown factors are grouped by neighbourhood signature (phase 1), and
+    candidate selection runs once per such class (phase 2); the transfer
+    itself is made per unknown factor, in that factor's argument order.
     Returns the completed graph (unknown factors replaced where a transfer
     succeeded), the lifted model (withheld when any factor stays unknown),
     a per-unknown report, and the stable partition.
@@ -147,57 +151,46 @@ def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     init = cp.initial_colours(g)
     colours = dict(init.factor_colour)
-    rv_colours = init.rv_colour
 
     signatures = all_signatures(g)
     by_signature: dict[NeighbourhoodSignature, list[str]] = {}
     for name in sorted(g.factors):
         by_signature.setdefault(signatures[name], []).append(name)
 
-    unknown_names = sorted(name for name, f in g.factors.items() if f.is_unknown)
-
-    # Phase 1: unknown factors with equal signatures share one colour; the
-    # candidate set of an unknown factor is every known factor possibly
-    # identical to it, i.e. every known factor with the same signature.
-    candidates_of: dict[str, list[str]] = {}
-    for name in unknown_names:
-        peers = by_signature[signatures[name]]
-        unknown_peers = [p for p in peers if g.factors[p].is_unknown]
-        shared = colours[unknown_peers[0]]
-        for p in unknown_peers:
-            colours[p] = shared
-        candidates_of[name] = [p for p in peers if not g.factors[p].is_unknown]
-
-    # Phase 2: per unknown factor, mode of the candidate tables; transfer on
-    # reaching theta.  Unknowns sharing a phase-1 colour have identical
-    # candidate sets, so selections can never conflict within a class.
     records = []
     replacements: dict[str, Factor] = {}
-    selected_by_colour: dict[int, tuple[str, ...]] = {}
-    for name in unknown_names:
-        cand = candidates_of[name]
+    for peers in by_signature.values():
+        unknowns = [p for p in peers if g.factors[p].is_unknown]
+        if not unknowns:
+            continue
+        # Phase 1: unknown factors with equal signatures share one colour;
+        # their candidate set is every known factor possibly identical to
+        # them, i.e. every known factor with the same signature.
+        colour = colours[unknowns[0]]
+        for name in unknowns:
+            colours[name] = colour
+        cand = tuple(p for p in peers if not g.factors[p].is_unknown)
+
+        # Phase 2, once per class: mode of the candidate tables; on reaching
+        # theta the selected candidates join the class's colour and every
+        # unknown of the class receives the shared table.
         selection = select_candidates([g.factors[c] for c in cand])
-        if selection is None:
-            records.append(CandidateSet(name, tuple(cand), None, None, None))
-            continue
-        members, table, ratio = selection
-        if ratio < theta:
-            records.append(CandidateSet(name, tuple(cand), members, table, ratio))
-            continue
-        colour = colours[name]
-        if colour in selected_by_colour:
-            assert selected_by_colour[colour] == members, (
-                "phase-1 colour class produced conflicting selections")
-        selected_by_colour[colour] = members
-        for m in members:
-            colours[m] = colour
-        transferred = transfer_potentials(g.factors[name], g.factors[members[0]], g)
-        replacements[name] = Factor(name, g.factors[name].args, transferred)
-        records.append(CandidateSet(name, tuple(cand), members, table, ratio, True))
+        members, table, ratio = selection or (None, None, None)
+        transferred = selection is not None and ratio >= theta
+        if transferred:
+            for m in members:
+                colours[m] = colour
+        for name in unknowns:
+            if transferred:
+                f = g.factors[name]
+                replacements[name] = Factor(
+                    name, f.args, transfer_potentials(f, g.factors[members[0]], g))
+            records.append(CandidateSet(name, cand, members, table, ratio, transferred))
+    records.sort(key=lambda r: r.unknown_factor)
 
     completed = g.replace_factors(replacements) if replacements else g
     complete = not completed.has_unknown
-    initial = cp.ColourAssignment(rv_colours, colours)
+    initial = cp.ColourAssignment(init.rv_colour, colours)
     partition = cp.run_cp(completed, initial=initial)
     lifted = None
     if complete:

@@ -22,6 +22,11 @@ factor h A | 1e308 1
 """
 
 
+def group_of(groups) -> dict[str, int]:
+    """Index of the group that holds each name."""
+    return {name: i for i, grp in enumerate(groups) for name in grp}
+
+
 @pytest.fixture
 def three_rv():
     """Two factors sharing B with identical argument-symmetric tables."""

@@ -1,8 +1,9 @@
+import concurrent.futures
 import io
 
 import pytest
 
-from liftfg import (parse_model, run_cp, run_lifg, serialize_model, validate)
+from liftfg import (benchgen, parse_model, run_cp, run_lifg, serialize_model, validate)
 from liftfg.benchgen import (Aggregate, BenchRecord, CSV_HEADER, GenParams,
                              aggregate_records, derive_seed, generate_instance,
                              remove_potentials, run_benchmark, run_instance)
@@ -180,6 +181,35 @@ def test_run_benchmark_worker_pool_matches_serial():
     pooled, _ = run_benchmark(battery, instances_per_d=2, reps=1, workers=2)
     assert [(r.d, r.instance, r.kl_values, r.n_factors) for r in serial] == \
            [(r.d, r.instance, r.kl_values, r.n_factors) for r in pooled]
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(64, 3), (2, 2), (1, None), (None, None)])
+def test_run_benchmark_pool_never_exceeds_jobs_or_cpus(monkeypatch, cpus, pool_size):
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(benchgen.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(benchgen.os, "cpu_count", lambda: cpus)
+    records, _ = run_benchmark([GenParams(d=2, seed=13)], instances_per_d=3, reps=1,
+                               kl_cap_d=0, workers=10 ** 6)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert [r.instance for r in records] == [0, 1, 2]
 
 
 def test_aggregate_records_stats():

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from liftfg import parse_model, variable_elimination
-from liftfg.cli import main
-from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT
+from liftfg import ParseError, parse_model, serialize_model, variable_elimination
+from liftfg.cli import ENGINES, main
+from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT, make_epidemic
 
 UNKNOWN_PAIR = THREE_RV_TEXT.replace("factor phi2 C B | 2 3 3 5",
                                      "factor phi2 C B | unknown")
@@ -285,3 +291,79 @@ def test_help_exits_0(capsys):
         main(["infer", "--help"])
     assert exc.value.code == 0
     assert "--engine" in capsys.readouterr().out
+
+
+def _hide(text, *names):
+    """The model text with the named factors' tables replaced by unknown."""
+    lines = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks[:1] == ["factor"] and toks[1] in names:
+            line = line.split("|")[0] + "| unknown"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+VALID_TEXTS = (THREE_RV_TEXT, UNKNOWN_PAIR, UNLIFTABLE, OVERFLOWING_TEXT,
+               _hide(serialize_model(make_epidemic()) + "evidence Travel_bob true\n",
+                     "f1_bob", "f2_alice_m2", "f2_bob_m2"))
+ODD_VALUES = ("0", "-1", "nan", "inf", "1e308", "1e-320")
+
+
+@st.composite
+def mutated_model_texts(draw):
+    """A valid model text with a few tokens dropped, duplicated, swapped,
+    replaced by an odd number or preceded by ``unknown``; CRLF line ends and
+    a byte-order mark are drawn too.  Returns the file's bytes and its text."""
+    lines = [line.split() for line in draw(st.sampled_from(VALID_TEXTS)).splitlines()]
+    for _ in range(draw(st.integers(0, 2))):
+        toks = lines[draw(st.integers(0, len(lines) - 1))]
+        if not toks:
+            continue
+        i, j = draw(st.integers(0, len(toks) - 1)), draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "value", "unknown")))
+        if op == "drop":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap":
+            toks[i], toks[j] = toks[j], toks[i]
+        elif op == "value":
+            after_bar = toks.index("|") + 1 if "|" in toks[:-1] else i
+            toks[max(i, after_bar)] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            toks.insert(i, "unknown")
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join(" ".join(toks) for toks in lines) + eol
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mutated_model_texts())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_exit_contract_on_mutated_models(case):
+    data, text = case
+    try:
+        g = parse_model(text)
+    except ParseError:
+        g = None
+    else:
+        assert parse_model(serialize_model(g)) == g
+    query = min(g.rvs) if g is not None else "A"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.fg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        runs = [["lift", "--model", path, "--out", os.path.join(tmp, "out")]]
+        runs += [["infer", "--model", path, "--auto-lift", "--engine", engine,
+                  "--query", query, "--iters", "5"] for engine in ENGINES]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if argv[0] == "lift":
+                # lift fails on input errors only: exactly the texts the parser rejects
+                assert (code == 1) == (g is None)

@@ -12,7 +12,7 @@ from liftfg import (ColourAssignment, Factor, FactorGraph, Partition, PotentialT
 from liftfg import cp
 from liftfg.cp import _partition_from
 from liftfg.benchgen import GenParams, generate_instance
-from conftest import THREE_RV_TEXT, random_graph
+from conftest import THREE_RV_TEXT, group_of, random_graph
 
 
 def blocks(groups):
@@ -438,7 +438,7 @@ def test_termination_bound_on_long_path():
                for i in range(n - 1)]
     g = FactorGraph(rvs, factors)
     part = run_cp(g)   # about n/2 refining rounds, then one that adds no colour
-    group_of = part.rv_group_of()
+    group = group_of(part.rv_groups)
     for i in range(n):
-        assert group_of[f"X{i:02d}"] == group_of[f"X{n - 1 - i:02d}"]
+        assert group[f"X{i:02d}"] == group[f"X{n - 1 - i:02d}"]
     assert len(part.rv_groups) == n // 2

@@ -1,13 +1,18 @@
 from collections import Counter
 import random
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable, all_signatures,
                     compress, parse_model, run_cp, run_lifg, select_candidates,
                     transfer_potentials)
+from liftfg import cp, lifg
 from liftfg.benchgen import GenParams, generate_instance, remove_potentials
-from conftest import THREE_RV_TEXT, random_graph
+from liftfg.lifg import CandidateSet, LiftReport, LiftResult
+from conftest import THREE_RV_TEXT, group_of, random_graph
 
 BOOL = ("true", "false")
 
@@ -294,8 +299,8 @@ def test_lifg_groups_unknowns_together():
     assert res.report.complete
     assert res.completed.factors["u0"].table == t
     assert res.completed.factors["u1"].table == t
-    group_of = res.partition.factor_group_of()
-    assert group_of["u0"] == group_of["u1"] == group_of["f0"] == group_of["f1"]
+    group = group_of(res.partition.factor_groups)
+    assert group["u0"] == group["u1"] == group["f0"] == group["f1"]
 
 
 def test_lifg_never_groups_different_known_tables():
@@ -362,11 +367,133 @@ def test_crossed_argument_roles_complete_but_uncompressible():
     assert res.report.complete
     assert not res.completed.has_unknown
     assert res.lifted is None
-    group_of = res.partition.factor_group_of()
-    assert group_of["f0"] == group_of["f2"]
+    group = group_of(res.partition.factor_groups)
+    assert group["f0"] == group["f2"]
     assert res.partition == run_cp(res.completed)
 
     # the fully-known twin behaves identically under plain colour passing
     known = parse_model(CROSSED_ROLES.format(content="1 2 3 4 5 6 7 8"))
     with pytest.raises(ValueError, match="no argument alignment"):
         compress(known, run_cp(known))
+
+
+# --- one selection per phase-1 class -----------------------------------------
+
+def oracle_run_lifg(g: FactorGraph, theta: float) -> LiftResult:
+    """Reference pass: phase 2 runs once per unknown factor, not per class.
+
+    Every unknown of a class rebuilds and re-selects the class's candidate
+    set; equal signatures give equal candidate sets, so the selections of
+    one class must agree.
+    """
+    init = cp.initial_colours(g)
+    colours = dict(init.factor_colour)
+    signatures = lifg.all_signatures(g)
+    by_signature = {}
+    for name in sorted(g.factors):
+        by_signature.setdefault(signatures[name], []).append(name)
+    unknown_names = sorted(name for name, f in g.factors.items() if f.is_unknown)
+
+    candidates_of = {}
+    for name in unknown_names:
+        peers = by_signature[signatures[name]]
+        unknown_peers = [p for p in peers if g.factors[p].is_unknown]
+        for p in unknown_peers:
+            colours[p] = colours[unknown_peers[0]]
+        candidates_of[name] = [p for p in peers if not g.factors[p].is_unknown]
+
+    records, replacements, selected_by_colour = [], {}, {}
+    for name in unknown_names:
+        cand = candidates_of[name]
+        selection = lifg.select_candidates([g.factors[c] for c in cand])
+        if selection is None:
+            records.append(CandidateSet(name, tuple(cand), None, None, None))
+            continue
+        members, table, ratio = selection
+        if ratio < theta:
+            records.append(CandidateSet(name, tuple(cand), members, table, ratio))
+            continue
+        colour = colours[name]
+        assert selected_by_colour.setdefault(colour, members) == members
+        for m in members:
+            colours[m] = colour
+        transferred = lifg.transfer_potentials(g.factors[name], g.factors[members[0]], g)
+        replacements[name] = Factor(name, g.factors[name].args, transferred)
+        records.append(CandidateSet(name, tuple(cand), members, table, ratio, True))
+
+    completed = g.replace_factors(replacements) if replacements else g
+    complete = not completed.has_unknown
+    partition = cp.run_cp(completed, initial=cp.ColourAssignment(init.rv_colour, colours))
+    lifted = None
+    if complete:
+        try:
+            lifted = cp.compress(completed, partition)
+        except ValueError:
+            lifted = None
+    return LiftResult(completed, lifted, LiftReport(tuple(records), complete), partition)
+
+
+@st.composite
+def lifting_graphs(draw):
+    """A random graph with unknown factors whose signature classes mix tables.
+
+    Unary factors on degree-one rvs form large signature classes that hold
+    several unknowns; factors of rarer shapes often form classes with no
+    known peer.  Each shape draws from a pool of two tables, copies may be
+    transposed, some tables are invariant under swapping their first two
+    arguments, and some rvs are observed.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = rng.randint(2, 12)
+    mixed = rng.random() < 0.3
+    ranges = [rng.choice((2, 3)) if mixed else 2 for _ in range(n)]
+    names = [f"X{i}" for i in range(n)]
+    pool: dict[tuple, list[PotentialTable]] = {}
+
+    def table(shape):
+        tables = pool.setdefault(shape, [])
+        if tables and (len(tables) == 2 or rng.random() < 0.6):
+            return rng.choice(tables)
+        arr = np.array([rng.choice((0.5, 1.0, 2.0, rng.uniform(0.2, 3.0)))
+                        for _ in range(int(np.prod(shape)))]).reshape(shape)
+        if len(shape) > 1 and shape[0] == shape[1]:
+            if rng.random() < 0.3:
+                arr = arr + arr.swapaxes(0, 1)
+            elif rng.random() < 0.3:
+                tables.append(PotentialTable.from_array(arr.swapaxes(0, 1)))
+        tables.append(PotentialTable.from_array(arr))
+        return tables[-1]
+
+    hidden = rng.choice((0.2, 0.5))
+    factors = []
+    for j in range(rng.randint(0, n)):
+        args = tuple(rng.sample(names, rng.randint(2, min(3, n))))
+        shape = tuple(ranges[names.index(a)] for a in args)
+        factors.append(Factor(f"f{j}", args, None if rng.random() < hidden else table(shape)))
+    for name, size in zip(names, ranges):
+        if rng.random() < 0.8:
+            factors.append(Factor(f"u{name}", (name,),
+                                  None if rng.random() < hidden else table((size,))))
+    evidence = rng.choice((0.0, 0.2))
+    rvs = [RandomVariable(name, ("a", "b", "c")[:size],
+                          rng.randrange(size) if rng.random() < evidence else None)
+           for name, size in zip(names, ranges)]
+    used = {a for f in factors for a in f.args}
+    return FactorGraph([rv for rv in rvs if rv.name in used], factors)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lifting_graphs())
+def test_run_lifg_matches_per_unknown_oracle(g):
+    signatures = all_signatures(g)
+    classes = {signatures[name] for name, f in g.factors.items() if f.is_unknown}
+    for theta in (0.0, 0.5, 0.75, 1.0):
+        with mock.patch.object(lifg, "select_candidates", wraps=lifg.select_candidates) as spy:
+            res = run_lifg(g, theta)
+        assert spy.call_count == len(classes)
+        expected = oracle_run_lifg(g, theta)
+        assert res.completed == expected.completed
+        assert res.lifted == expected.lifted
+        assert res.partition == expected.partition
+        assert res.report == expected.report
+        assert res.report.to_text() == expected.report.to_text()
