@@ -3,7 +3,7 @@
 from .model import (FactorGraph, Factor, PotentialTable, RandomVariable,
                     ParseError, parse_model, serialize_model, validate)
 from .cp import (ColourAssignment, Partition, LiftedModel, SuperVar, SuperFactor,
-                 argument_symmetry_classes, initial_colours, cp_round, run_cp,
+                 argument_symmetry_classes, canonical_form, initial_colours, cp_round, run_cp,
                  compress, singleton_partition, serialize_lifted)
 from .lifg import (NeighbourhoodSignature, CandidateSet, LiftReport, LiftResult,
                    all_signatures, select_candidates, transfer_potentials, run_lifg)

@@ -68,24 +68,15 @@ def cmd_infer(args) -> int:
             print(f"error: no randvar named {q!r}", file=sys.stderr)
             return 1
 
-    lifted = None
-    if g.has_unknown:
-        if not args.auto_lift:
-            print("error: model contains unknown factors (use --auto-lift)",
-                  file=sys.stderr)
-            return 2
+    if g.has_unknown and not args.auto_lift:
+        print("error: model contains unknown factors (use --auto-lift)", file=sys.stderr)
+        return 2
+    if g.has_unknown or args.engine == "cbp":
         result = run_lifg(g, args.theta)
         if not result.report.complete:
             print("error: lifting left unknown factors", file=sys.stderr)
             return 2
         g, lifted = result.completed, result.lifted
-
-    if args.engine == "cbp" and lifted is None:
-        try:
-            lifted = cp.compress(g, cp.run_cp(g))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
 
     try:
         if args.engine == "enumeration":
@@ -122,6 +113,9 @@ def cmd_bench(args) -> int:
         return 1
     if not ds or args.instances < 1:
         print("error: need at least one d and one instance", file=sys.stderr)
+        return 1
+    if min(ds) < 2:
+        print(f"error: every --d must be at least 2, got {min(ds)}", file=sys.stderr)
         return 1
     battery = [GenParams(d=d, seed=args.seed, theta=args.theta) for d in ds]
     workers = args.workers

@@ -1,12 +1,17 @@
 """Colour passing: iterated colour refinement over a factor graph.
 
-Random variables start coloured by (range, evidence) and factors by their
-potential tables; colours are then passed back and forth until a round
-adds no colour, which means the induced partition is stable.  Messages from variables to factors are unordered
-multisets of colours; messages from factors to variables carry the position
-of the variable in the factor's argument list, where positions that the
-factor's table treats interchangeably share one tag, so declaring a
-symmetric factor as f(A, B) or f(B, A) yields the same grouping.
+Two known factors are the same factor when their tables agree under some
+matching of their arguments, so every table has a canonical form
+(:func:`canonical_form`) that its transposed copies share.  Random
+variables start coloured by (range, evidence) and known factors by the
+canonical forms of their tables; colours are then passed back and forth
+until a round adds no colour, which means the induced partition is stable.
+A known factor hears its arguments' colours in the slot order of its form,
+as a multiset only inside one symmetry class of the form, and tells each
+argument the first slot of that argument's class; so f(A, B) and
+f'(B, A), with f' the transpose of f, group together, and two factors
+whose arguments play crossed roles do not.  An unknown factor hears one
+unordered multiset and tells each argument its raw position.
 
 The stable partition is compressed into a :class:`LiftedModel`: one
 supervariable per variable group, one superfactor per factor group, and
@@ -16,12 +21,14 @@ and all-pairs models do.
 """
 
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from itertools import chain, permutations, product
+import math
 
 from .model import FactorGraph, PotentialTable
+
+MAX_ORDERS = 720   # argument orders canonical_form tries per table
 
 
 @dataclass(frozen=True)
@@ -83,53 +90,89 @@ def argument_symmetry_classes(table: PotentialTable) -> list[tuple[int, ...]]:
 
     Positions p and q land in one class iff they have equal range size and
     swapping them leaves the table invariant.  Pairwise swap invariance is
-    closed under conjugation, so the relation is an equivalence.
+    closed under conjugation, so the relation is an equivalence, and each
+    position is tested only against the first member of each class.
     """
-    arity = table.arity
-    parent = list(range(arity))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     arr = table.array()
-    for p in range(arity):
-        for q in range(p + 1, arity):
-            if table.range_sizes[p] != table.range_sizes[q]:
-                continue
-            if find(p) == find(q):
-                continue
-            swapped = arr.swapaxes(p, q)
-            if (arr == swapped).all():
-                parent[find(q)] = find(p)
-    classes: dict[int, list[int]] = {}
-    for p in range(arity):
-        classes.setdefault(find(p), []).append(p)
-    return [tuple(ps) for _, ps in sorted(classes.items())]
+    classes: list[list[int]] = []
+    for p in range(table.arity):
+        for cls in classes:
+            if arr.shape[cls[0]] == arr.shape[p] and (arr == arr.swapaxes(cls[0], p)).all():
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return [tuple(cls) for cls in classes]
 
 
-def _all_position_tags(g: FactorGraph) -> dict[str, tuple[int, ...]]:
-    """Per-position tag of every factor of g, used in factor-to-rv messages.
+@lru_cache(maxsize=4096)
+def canonical_form(table: PotentialTable) -> tuple[PotentialTable, tuple[int, ...]]:
+    """The table with its arguments in canonical order, and that order.
 
-    Symmetric positions of a known table collapse to the smallest member
-    position of their class; unknown factors use the raw index.  Tags are
-    computed once per distinct (table, arity).
+    ``form`` is ``table`` transposed by ``order``: slot s of the form is
+    argument ``order[s]`` of the table.  Arguments are sorted by a key that
+    no argument permutation changes: the range size and, per value of the
+    argument, the sorted values of its slice.  Inside a block of equal keys
+    every order of the block's symmetry classes is tried and the smallest
+    values win, so a table and its transposed copies share one form.  At
+    most MAX_ORDERS orders are tried per table; a block that would pass the
+    cap keeps its classes in argument order, so transposed copies of such a
+    table may keep different forms.  Equal forms always admit an alignment.
     """
-    by_table: dict[tuple, tuple[int, ...]] = {}
-    tags = {}
+    arr = table.array()
+    blocks: dict[tuple, list[tuple[int, ...]]] = {}
+    for cls in argument_symmetry_classes(table):
+        size = arr.shape[cls[0]]
+        key = (size, tuple(tuple(sorted(arr.take(v, axis=cls[0]).ravel().tolist()))
+                           for v in range(size)))
+        blocks.setdefault(key, []).append(cls)
+    choices, tried = [], 1
+    for key in sorted(blocks):
+        block = blocks[key]
+        if tried * math.factorial(len(block)) <= MAX_ORDERS:
+            tried *= math.factorial(len(block))
+            choices.append(permutations(block))
+        else:
+            choices.append([block])
+    values, order = min((tuple(arr.transpose(order).ravel().tolist()), order)
+                        for order in (tuple(chain.from_iterable(chain.from_iterable(combo)))
+                                      for combo in product(*choices)))
+    return PotentialTable(tuple(arr.shape[p] for p in order), values), order
+
+
+def _roles_of(g: FactorGraph):
+    """How every factor hears and tells its arguments in colour passing.
+
+    Returns, per factor, its arguments in slot order with the slot runs it
+    hears as multisets, and per rv its (factor, position tag) pairs.  A
+    known factor's slots are those of its canonical form, its runs are the
+    form's symmetry classes and each argument's tag is the first slot of
+    its class.  An unknown factor keeps argument order, hears one multiset
+    and tags each argument with its raw position.  The layout is computed
+    once per distinct (table, arity).
+    """
+    by_table: dict[tuple, tuple] = {}
+    slots = {}
+    adj: dict[str, list[tuple[str, int]]] = {name: [] for name in g.rvs}
     for name, f in g.factors.items():
         key = (f.table, len(f.args))
         if key not in by_table:
-            tag = list(range(len(f.args)))
-            if f.table is not None:
-                for cls in argument_symmetry_classes(f.table):
-                    for p in cls:
-                        tag[p] = min(cls)
-            by_table[key] = tuple(tag)
-        tags[name] = by_table[key]
-    return tags
+            n = len(f.args)
+            if f.table is None:
+                order, classes, tags = range(n), [range(n)], range(n)
+            else:
+                form, order = canonical_form(f.table)
+                classes, tags = argument_symmetry_classes(form), [0] * n
+                for cls in classes:
+                    for s in cls:
+                        tags[order[s]] = cls[0]
+            # a form's classes are runs of consecutive slots
+            by_table[key] = (order, [(c[0], c[-1] + 1) for c in classes if len(c) > 1], tags)
+        order, runs, tags = by_table[key]
+        slots[name] = ([f.args[p] for p in order], runs)
+        for pos, arg in enumerate(f.args):
+            adj[arg].append((name, tags[pos]))
+    return slots, adj
 
 
 def _dense(keys: dict[str, tuple]) -> dict[str, int]:
@@ -139,58 +182,45 @@ def _dense(keys: dict[str, tuple]) -> dict[str, int]:
 
 
 def initial_colours(g: FactorGraph) -> ColourAssignment:
-    """Colour rvs by (range, evidence) and known factors by table equality.
+    """Colour rvs by (range, evidence) and known factors by canonical form.
 
-    Every unknown factor gets its own fresh colour.
+    Tables that agree up to argument order share a colour.  Every unknown
+    factor gets its own fresh colour.
     """
     rv_keys = {name: (rv.range, -1 if rv.evidence is None else rv.evidence)
                for name, rv in g.rvs.items()}
     rv_colour = _dense(rv_keys)
 
-    factor_colour = _dense({name: (f.table.range_sizes, f.table.values)
+    factor_colour = _dense({name: canonical_form(f.table)[0]
                             for name, f in g.factors.items() if not f.is_unknown})
     unknown = sorted(name for name, f in g.factors.items() if f.is_unknown)
-    next_id = len(set(factor_colour.values()))
-    for name in unknown:
-        factor_colour[name] = next_id
-        next_id += 1
+    first = len(set(factor_colour.values()))
+    factor_colour.update((name, first + i) for i, name in enumerate(unknown))
     return ColourAssignment(rv_colour, factor_colour)
 
 
-def _adjacency(g: FactorGraph) -> dict[str, list[tuple[str, int]]]:
-    """rv name -> list of (factor name, position)."""
-    adj: dict[str, list[tuple[str, int]]] = {name: [] for name in g.rvs}
-    for fname, f in g.factors.items():
-        for pos, arg in enumerate(f.args):
-            adj[arg].append((fname, pos))
-    return adj
-
-
-def cp_round(g: FactorGraph, colours: ColourAssignment,
-             _tags: dict[str, tuple[int, ...]] | None = None,
-             _adj: dict[str, list[tuple[str, int]]] | None = None) -> ColourAssignment:
+def cp_round(g: FactorGraph, colours: ColourAssignment, _roles=None) -> ColourAssignment:
     """One full refinement round.
 
-    (a) every factor is rekeyed by the multiset of its argument colours plus
-    its own colour; (b) every rv is rekeyed by the multiset of (new factor
-    colour, position tag) pairs plus its own colour.  New ids are dense per
-    namespace and follow the first appearance of each signature in the
-    graph's rv and factor order, so the result is deterministic.
+    (a) every factor is rekeyed by its own colour plus its argument colours
+    in slot order, sorted only inside a symmetry class of its canonical
+    form (an unknown factor sorts them all); (b) every rv is rekeyed by its
+    own colour plus the multiset of (new factor colour, position tag)
+    pairs.  New ids are dense per namespace and follow the first appearance
+    of each signature in the graph's rv and factor order, so the result is
+    deterministic.
     """
-    if _tags is None:
-        _tags = _all_position_tags(g)
-    if _adj is None:
-        _adj = _adjacency(g)
-    factor_keys = {
-        name: (colours.factor_colour[name],
-               tuple(sorted(colours.rv_colour[a] for a in f.args)))
-        for name, f in g.factors.items()
-    }
+    slots, adj = _roles if _roles is not None else _roles_of(g)
+    rv_colour = colours.rv_colour
+    factor_keys = {}
+    for name, (args, runs) in slots.items():
+        heard = [rv_colour[a] for a in args]
+        for i, j in runs:
+            heard[i:j] = sorted(heard[i:j])
+        factor_keys[name] = (colours.factor_colour[name], tuple(heard))
     new_factor = _dense(factor_keys)
     rv_keys = {
-        name: (colours.rv_colour[name],
-               tuple(sorted((new_factor[fname], _tags[fname][pos])
-                            for fname, pos in _adj[name])))
+        name: (rv_colour[name], tuple(sorted((new_factor[fname], tag) for fname, tag in adj[name])))
         for name in g.rvs
     }
     new_rv = _dense(rv_keys)
@@ -222,11 +252,10 @@ def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition
     ``initial``).
     """
     colours = initial if initial is not None else initial_colours(g)
-    tags = _all_position_tags(g)
-    adj = _adjacency(g)
+    roles = _roles_of(g)
     before, count = -1, _colour_count(colours)
     while count != before:
-        colours = cp_round(g, colours, _tags=tags, _adj=adj)
+        colours = cp_round(g, colours, _roles=roles)
         before, count = count, _colour_count(colours)
     return _partition_from(colours)
 
@@ -249,13 +278,18 @@ def _check_covers(g: FactorGraph, partition: Partition):
 def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
     """Build the lifted model for a CP-stable partition of g.
 
-    Every factor group must be fully known and share one table.  Superfactor
-    argument slots are canonical: positions inside one table symmetry class
-    are ordered by the supervar they hold, which is well defined exactly
-    when the partition is stable.  Raises ValueError when the partition does
-    not hold every rv and factor of g exactly once, or is not stable,
-    including when the members of a supervar held by several slots fill
-    those slots' symmetry classes unequally often.
+    Every factor group must be fully known and share one canonical form.
+    A superfactor keeps its representative's table; its argument slots are
+    the representative's positions, ordered inside each symmetry class of
+    the table by the supervar they hold, which is well defined exactly when
+    the partition is stable.  Each other member is aligned through the
+    canonical form: a representative position maps to its canonical slot,
+    the slot to the member's position, and positions inside a symmetry
+    class are then matched by supervar.  Raises ValueError when the
+    partition does not hold every rv and factor of g exactly once, mixes
+    canonical forms in a factor group, or is not stable, including when
+    the members of a supervar held by several slots fill those slots'
+    symmetry classes unequally often.
     """
     _check_covers(g, partition)
     supervars: dict[str, SuperVar] = {}
@@ -275,8 +309,6 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
         rep = g.factors[members[0]]
         if rep.is_unknown:
             raise ValueError(f"factor group {members} contains unknown factor {rep.name}")
-        # canonical slot layout from the representative: inside a table
-        # symmetry class, positions are ordered by the supervar they hold
         if rep.table not in classes_of:
             classes_of[rep.table] = argument_symmetry_classes(rep.table)
         classes = classes_of[rep.table]
@@ -294,36 +326,32 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
                 for p in cls:
                     class_of[p] = ci
             fills = Counter(zip(rep.args, class_of))
-        # align every other member to the slots: arguments may be permuted
-        # across members (potential transfer aligns tables to local argument
-        # orders), but after matching argument groups to slot supervars the
-        # permuted table must coincide with the representative's.  The
-        # representative itself aligns by construction: its slots only
-        # permute positions inside a symmetry class of its own table.
         for m in members[1:]:
             f = g.factors[m]
             if f.is_unknown:
                 raise ValueError(f"factor group {members} contains unknown factor {m}")
-            if len(f.args) != len(slots):
-                raise ValueError(f"factor group {members} mixes arities")
-            positions_of: dict[str, list[int]] = {}
-            for p, arg in enumerate(f.args):
-                positions_of.setdefault(sv_of[arg], []).append(p)
-            try:
-                taken = {sv: iter(ps) for sv, ps in positions_of.items()}
-                axes = [next(taken[sv]) for sv in slots]
-            except (KeyError, StopIteration):
-                raise ValueError(
-                    f"factor group {members} is not stable: {m} does not span "
-                    f"the supervariables {slots}") from None
-            aligned = (f.table if axes == sorted(axes) else
-                       PotentialTable.from_array(np.transpose(f.table.array(), axes)))
-            if aligned != rep.table:
-                raise ValueError(
-                    f"factor group {members} mixes tables that no argument "
-                    f"alignment reconciles")
+            # axes[p]: the member position that fills slot p
+            if f.table == rep.table:
+                axes = list(range(len(slots)))
+            else:
+                form, order = canonical_form(rep.table)
+                m_form, m_order = canonical_form(f.table)
+                if m_form != form:
+                    raise ValueError(f"factor group {members} mixes tables of different forms")
+                axes = [0] * len(slots)
+                for p, q in zip(order, m_order):
+                    axes[p] = q
+            if [sv_of[f.args[q]] for q in axes] != slots:
+                for cls in classes:
+                    by_sv = sorted((axes[p] for p in cls), key=lambda q: sv_of[f.args[q]])
+                    for p, q in zip(cls, by_sv):
+                        axes[p] = q
+                if [sv_of[f.args[q]] for q in axes] != slots:
+                    raise ValueError(
+                        f"factor group {members} is not stable: {m} does not span "
+                        f"the supervariables {slots}")
             if fills is not None:
-                fills.update(zip((f.args[p] for p in axes), class_of))
+                fills.update(zip((f.args[q] for q in axes), class_of))
         if fills is not None:
             per_class: dict[tuple[int, int], list[int]] = {}
             for (rv, ci), c in fills.items():
@@ -338,20 +366,19 @@ def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
                                         tuple(slots), members))
 
     factor_group_name = {m: sf.name for sf in superfactors for m in sf.members}
-    adj = _adjacency(g)
+    counts_of: dict[str, dict[str, int]] = {name: {} for name in g.rvs}
+    for fname, f in g.factors.items():
+        gname = factor_group_name[fname]
+        for arg in f.args:
+            counts = counts_of[arg]
+            counts[gname] = counts.get(gname, 0) + 1
     edge_counts: dict[tuple[str, str], int] = {}
     for sv in supervars.values():
-        counts_per_member = []
-        for member in sv.members:
-            counts: dict[str, int] = {}
-            for fname, _ in adj[member]:
-                gname = factor_group_name[fname]
-                counts[gname] = counts.get(gname, 0) + 1
-            counts_per_member.append(counts)
-        if any(c != counts_per_member[0] for c in counts_per_member[1:]):
+        counts = counts_of[sv.members[0]]
+        if any(counts_of[m] != counts for m in sv.members[1:]):
             raise ValueError(f"rv group {sv.members} is not stable: members have "
                              f"unequal adjacency counts")
-        for gname, c in counts_per_member[0].items():
+        for gname, c in counts.items():
             edge_counts[(sv.name, gname)] = c
 
     return LiftedModel(tuple(supervars.values()), tuple(superfactors), edge_counts)

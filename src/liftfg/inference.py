@@ -36,7 +36,7 @@ from .cp import LiftedModel
 # unused here, but perfbench/tracing.py wraps inference.compress; without it Tracer.install() raises
 from .cp import compress  # noqa: F401
 
-DEFAULT_STATE_CAP = 2 ** 24
+STATE_CAP = 2 ** 24   # most joint states enumeration sums over, or one VE product holds
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,20 @@ def kl_divergence(p: Marginal, q: Marginal) -> float:
     return total
 
 
-def joint_enumeration(g: FactorGraph, query: str,
-                      state_cap: int = DEFAULT_STATE_CAP) -> Marginal:
-    """Exact marginal by brute-force summation over all assignments."""
+def joint_enumeration(g: FactorGraph, query: str) -> Marginal:
+    """Exact marginal by brute-force summation over all assignments.
+
+    Raises ValueError when the free variables have more than STATE_CAP joint
+    states.
+    """
     _require_known(g)
     if query not in g.rvs:
         raise KeyError(f"no randvar named {query!r}")
     rv_names = sorted(g.rvs)
     free = [n for n in rv_names if g.rvs[n].evidence is None]
     n_states = math.prod(len(g.rvs[n].range) for n in free) if free else 1
-    if n_states > state_cap:
-        raise ValueError(f"state space {n_states} exceeds cap {state_cap}")
+    if n_states > STATE_CAP:
+        raise ValueError(f"state space {n_states} exceeds cap {STATE_CAP}")
     arrays = {name: f.table.array() for name, f in g.factors.items()}
     q_rv = g.rvs[query]
     weights = np.zeros(len(q_rv.range))
@@ -162,7 +165,8 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
     """Exact marginal by sum-product elimination with a min-degree ordering.
 
     Every product is rescaled by a power of two, so its maximum stays in
-    [0.5, 1) even at a hub with thousands of factors.
+    [0.5, 1) even at a hub with thousands of factors.  Raises ValueError
+    before any product whose bucket would hold more than STATE_CAP states.
     """
     _require_known(g)
     if query not in g.rvs:
@@ -181,6 +185,13 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
     for v, ns in nbrs.items():
         ns.discard(v)
 
+    # a bucket of at most `safe` neighbours stays under the cap, however large
+    # their ranges: largest_range ** (safe + 1) <= STATE_CAP
+    largest_range = max([len(g.rvs[v].range) for v in nbrs] + [2])
+    safe = -1
+    while largest_range ** (safe + 2) <= STATE_CAP:
+        safe += 1
+
     # min-degree order by (degree, name); a heap entry is stale once its
     # variable is eliminated or its degree has changed
     remaining = set(of_var) - {query}
@@ -191,6 +202,11 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
         if var not in remaining or d != len(nbrs[var]):
             continue
         remaining.remove(var)
+        if d > safe:
+            states = math.prod(len(g.rvs[v].range) for v in nbrs[var] | {var})
+            if states > STATE_CAP:
+                raise ValueError(f"eliminating {var} needs a product of {states} states, "
+                                 f"over the cap of {STATE_CAP}")
         bucket_ids = sorted(of_var.pop(var))
         scope, arr = live[bucket_ids[0]]
         for fid in bucket_ids[1:]:

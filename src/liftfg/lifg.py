@@ -5,21 +5,22 @@ the graph around it.  Two factors have *symmetric 2-step neighbourhoods*
 when they touch the same number of variables and those variables can be
 matched one-to-one preserving evidence, range, and degree; they are
 *possibly identical* when additionally at least one of them is unknown or
-their tables are equal.
+their tables are equal up to argument order (equal canonical forms, see
+:func:`liftfg.cp.canonical_form`).
 
 The lifting procedure runs in two phases on top of the initial colouring.
 Phase 1 gives all mutually possibly-identical unknown factors one shared
 colour and collects, per such class, the candidate set of possibly
 identical known factors.  Phase 2 runs once per phase-1 class: it picks the
 largest subset of the class's candidate set whose members agree on one
-table, and, if the agreeing fraction reaches the threshold, colours those
-candidates like the class and transfers their table onto each of its
-unknown factors.  Ordinary colour passing then refines the pre-coloured
-graph and the result is compressed.
+canonical form, and, if the agreeing fraction reaches the threshold,
+colours those candidates like the class and transfers the first selected
+member's table onto each of its unknown factors.  Ordinary colour passing
+then refines the pre-coloured graph and the result is compressed.
 
 Because symmetry is implemented as signature equality (an equivalence), the
 "largest pairwise possibly-identical subset" is simply the largest
-table-equality class of the candidate set, which makes phase 2 a mode
+form-equality class of the candidate set, which makes phase 2 a mode
 computation instead of a clique search.
 """
 
@@ -71,11 +72,7 @@ class LiftReport:
 class LiftResult:
     """Outcome of a lifting pass.
 
-    ``lifted`` is None when the graph stays semantically incomplete, and
-    also in the rare case of a complete graph whose stable partition has a
-    factor group with no consistent argument-slot alignment (equal tables
-    can mask argument-order mismatches because factors compare neighbour
-    colours as multisets); no counting-BP model exists for such a group.
+    ``lifted`` is None exactly when the graph stays semantically incomplete.
     """
 
     completed: FactorGraph
@@ -99,23 +96,23 @@ def all_signatures(g: FactorGraph) -> dict[str, NeighbourhoodSignature]:
 
 
 def select_candidates(candidates):
-    """Pick the largest table-equality class of a candidate set.
+    """Pick the largest class of a candidate set whose tables share a canonical form.
 
     candidates: known Factor objects sharing one neighbourhood signature.
-    Returns (members sorted by name, shared table, ratio), or None when the
-    set is empty.  Ties between equal-sized classes go to the class with the
-    smallest member name.
+    Returns (members sorted by name, the first member's own table, ratio),
+    or None when the set is empty.  Ties between equal-sized classes go to
+    the class with the smallest member name.
     """
     candidates = sorted(candidates, key=lambda f: f.name)
     if not candidates:
         return None
-    classes: dict[PotentialTable, list[str]] = {}
+    classes: dict[PotentialTable, list[Factor]] = {}
     for f in candidates:
-        classes.setdefault(f.table, []).append(f.name)
+        classes.setdefault(cp.canonical_form(f.table)[0], []).append(f)
     # max() keeps the first maximum; classes arise in candidate name order,
     # so equal-sized ties go to the class with the smallest leading name.
-    table, best = max(classes.items(), key=lambda item: len(item[1]))
-    return tuple(best), table, len(best) / len(candidates)
+    best = max(classes.values(), key=len)
+    return tuple(f.name for f in best), best[0].table, len(best) / len(candidates)
 
 
 def transfer_potentials(f_unknown: Factor, source: Factor, g: FactorGraph) -> PotentialTable:
@@ -171,9 +168,9 @@ def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
             colours[name] = colour
         cand = tuple(p for p in peers if not g.factors[p].is_unknown)
 
-        # Phase 2, once per class: mode of the candidate tables; on reaching
-        # theta the selected candidates join the class's colour and every
-        # unknown of the class receives the shared table.
+        # Phase 2, once per class: mode of the candidates' canonical forms;
+        # on reaching theta the selected candidates join the class's colour
+        # and every unknown of the class receives the first member's table.
         selection = select_candidates([g.factors[c] for c in cand])
         members, table, ratio = selection or (None, None, None)
         transferred = selection is not None and ratio >= theta
@@ -182,9 +179,13 @@ def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
                 colours[m] = colour
         for name in unknowns:
             if transferred:
-                f = g.factors[name]
-                replacements[name] = Factor(
-                    name, f.args, transfer_potentials(f, g.factors[members[0]], g))
+                f, source = g.factors[name], g.factors[members[0]]
+                copy = transfer_potentials(f, source, g)
+                replacements[name] = Factor(name, f.args, copy)
+                # a transposed copy of a table past the order cap may keep
+                # another canonical form; it cannot share the class's group
+                if cp.canonical_form(copy)[0] != cp.canonical_form(source.table)[0]:
+                    colours[name] = len(colours) + len(replacements)   # a fresh colour
             records.append(CandidateSet(name, cand, members, table, ratio, transferred))
     records.sort(key=lambda r: r.unknown_factor)
 
@@ -192,10 +193,5 @@ def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
     complete = not completed.has_unknown
     initial = cp.ColourAssignment(init.rv_colour, colours)
     partition = cp.run_cp(completed, initial=initial)
-    lifted = None
-    if complete:
-        try:
-            lifted = cp.compress(completed, partition)
-        except ValueError:
-            lifted = None   # stable partition without a slot-consistent lifting
+    lifted = cp.compress(completed, partition) if complete else None
     return LiftResult(completed, lifted, LiftReport(tuple(records), complete), partition)

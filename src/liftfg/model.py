@@ -136,14 +136,12 @@ def validate(g: FactorGraph) -> list[str]:
             violations.append(f"randvar {rv.name}: duplicate range labels")
         if rv.evidence is not None and not (0 <= rv.evidence < len(rv.range)):
             violations.append(f"randvar {rv.name}: evidence index {rv.evidence} out of range")
-    used = set()
     for f in g.factors.values():
         if len(set(f.args)) != len(f.args):
             violations.append(f"factor {f.name}: duplicate argument")
         for a in f.args:
             if a not in g.rvs:
                 violations.append(f"factor {f.name}: reference to undeclared randvar {a}")
-        used.update(f.args)
         if f.name in g.rvs:
             violations.append(f"factor {f.name}: duplicate name (collides with a randvar)")
         if f.table is None:
@@ -156,10 +154,13 @@ def validate(g: FactorGraph) -> list[str]:
             violations.append(f"factor {f.name}: table length mismatch ({len(f.table.values)} values for {expected} cells)")
         if any(not (v > 0.0) for v in f.table.values):
             violations.append(f"factor {f.name}: non-positive potential")
-    for name in g.rvs:
-        if name not in used:
-            violations.append(f"randvar {name}: isolated (appears in no factor)")
-    return violations
+    return violations + _isolated(g)
+
+
+def _isolated(g: FactorGraph) -> list[str]:
+    """One violation per rv that no factor uses."""
+    used = {a for f in g.factors.values() for a in f.args}
+    return [f"randvar {name}: isolated (appears in no factor)" for name in g.rvs if name not in used]
 
 
 def _parse_number(tok: str, lineno: int) -> float:
@@ -176,8 +177,10 @@ def parse_model(text: str) -> FactorGraph:
     """Parse the text format into a validated FactorGraph.
 
     Declarations must precede use: randvars before factors and evidence that
-    reference them.  Raises ParseError with a line number on any defect,
-    including validation failures of the finished graph.
+    reference them.  Raises ParseError with a line number on any defect of
+    a line.  Those checks cover everything ``validate`` checks per item, so
+    the finished graph is only checked as a whole: it must declare an rv,
+    and every rv must appear in a factor.
     """
     rvs: dict[str, RandomVariable] = {}
     factors: dict[str, Factor] = {}
@@ -240,7 +243,7 @@ def parse_model(text: str) -> FactorGraph:
         else:
             raise ParseError(f"line {lineno}: unknown statement {kind!r}")
     g = FactorGraph(list(rvs.values()), list(factors.values()))
-    problems = validate(g)
+    problems = _isolated(g) if rvs else ["empty graph: no random variables declared"]
     if problems:
         raise ParseError("invalid model: " + "; ".join(problems))
     return g

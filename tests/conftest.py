@@ -1,8 +1,11 @@
+from itertools import permutations
 import random
 
+import numpy as np
 import pytest
 
-from liftfg import FactorGraph, Factor, PotentialTable, RandomVariable, parse_model
+from liftfg import (FactorGraph, Factor, PotentialTable, RandomVariable, counting_bp,
+                    loopy_bp, parse_model)
 
 THREE_RV_TEXT = """\
 randvar A true false
@@ -90,3 +93,65 @@ def random_graph(rng: random.Random, max_rvs=8, with_evidence=False,
             if rng.random() < 0.25:
                 rvs[i] = RandomVariable(rvs[i].name, rvs[i].range, rng.randrange(2))
     return FactorGraph(rvs, factors)
+
+
+def swap_generated_table(rng: random.Random, shape) -> np.ndarray:
+    """Random values, made symmetric in some equal-range axes with probability 0.4.
+
+    The values are generic, so the table's automorphisms are exactly the
+    permutations of the symmetrised axes: a group generated by swaps.
+    """
+    arr = np.array([rng.uniform(0.2, 3.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    size = rng.choice(shape)
+    axes = [i for i, s in enumerate(shape) if s == size]
+    if len(axes) > 1 and rng.random() < 0.4:
+        axes = rng.sample(axes, rng.randint(2, len(axes)))
+        total = np.zeros(shape)
+        for perm in permutations(axes):
+            order = list(range(len(shape)))
+            for a, b in zip(axes, perm):
+                order[a] = b
+            total = total + arr.transpose(order)
+        arr = total
+    return arr
+
+
+def random_model(rng: random.Random, hidden: float) -> FactorGraph:
+    """2-8 rvs of range 2 or 3, factors of arity 1-3, some hidden, 20% evidence.
+
+    70% of factors reuse the first table drawn for their multiset of range
+    sizes, 30% of those transposed to another argument order; every table
+    comes from swap_generated_table.  Only rvs that a factor uses are kept.
+    """
+    n = rng.randint(2, 8)
+    mixed = rng.random() < 0.5
+    ranges = [rng.choice((2, 3)) if mixed else 2 for _ in range(n)]
+    names = [f"X{i}" for i in range(n)]
+    pool: dict[tuple, np.ndarray] = {}
+    factors = []
+    for j in range(rng.randint(1, n + 3)):
+        args = tuple(rng.sample(names, rng.randint(1, min(3, n))))
+        shape = tuple(ranges[names.index(a)] for a in args)
+        key = tuple(sorted(shape))
+        if key in pool and rng.random() < 0.7:
+            fitting = [p for p in permutations(range(len(shape)))
+                       if tuple(pool[key].shape[i] for i in p) == shape]
+            arr = pool[key].transpose(rng.choice(fitting) if rng.random() < 0.3 else fitting[0])
+        else:
+            arr = swap_generated_table(rng, shape)
+            pool.setdefault(key, arr)
+        table = None if rng.random() < hidden else PotentialTable.from_array(arr)
+        factors.append(Factor(f"f{j}", args, table))
+    used = {a for f in factors for a in f.args}
+    rvs = [RandomVariable(name, ("a", "b", "c")[:size],
+                          rng.randrange(size) if rng.random() < 0.2 else None)
+           for name, size in zip(names, ranges) if name in used]
+    return FactorGraph(rvs, factors)
+
+
+def assert_lifted_matches_bp(g: FactorGraph, lifted, iters=10):
+    """Counting BP on the lifted model equals ground BP on g at 1e-9."""
+    bp, cbp = loopy_bp(g, iters), counting_bp(lifted, iters)
+    sv = lifted.supervar_of()
+    for rv in g.rvs:
+        assert np.abs(bp[rv].array() - cbp[sv[rv]].array()).max() <= 1e-9

@@ -6,7 +6,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from liftfg import ParseError, parse_model, serialize_model, variable_elimination
+from liftfg import ParseError, inference, parse_model, serialize_model, variable_elimination
 from liftfg.cli import ENGINES, main
 from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT, make_epidemic
 
@@ -187,9 +187,9 @@ def test_bench_bad_d_list(capsys):
     assert "bad --d" in capsys.readouterr().err
 
 
-def test_infer_cbp_reports_uncompressible_model(tmp_path, capsys):
-    # equal-table factors with cross-mapped argument roles group stably but
-    # admit no slot-consistent superfactor; cbp must fail cleanly
+def test_infer_cbp_on_crossed_roles_matches_bp(tmp_path, capsys):
+    # equal-table factors with crossed argument roles: cbp lifts the model
+    # through run_lifg and agrees with ground BP
     path = tmp_path / "crossed.fg"
     path.write_text("""\
 randvar X0 a b
@@ -202,11 +202,12 @@ factor u0 X0 | 1.0 1.3
 factor u2 X2 | 1.0 1.3
 factor u4 X4 | 1.0 1.3
 """)
-    assert main(["infer", "--model", str(path), "--engine", "cbp",
-                 "--query", "X0"]) == 1
-    assert "alignment" in capsys.readouterr().err
-    assert main(["infer", "--model", str(path), "--engine", "ve",
-                 "--query", "X0"]) == 0
+    got = {}
+    for engine in ("bp", "cbp"):
+        assert main(["infer", "--model", str(path), "--engine", engine,
+                     "--query", "X0"]) == 0
+        got[engine] = [float(tok) for tok in capsys.readouterr().out.split(":")[1].split()]
+    assert got["cbp"] == pytest.approx(got["bp"], abs=1e-9)
 
 
 def test_infer_accepts_byte_order_mark(tmp_path, capsys):
@@ -228,6 +229,14 @@ def _write_free_booleans(path, n):
     return path
 
 
+def _write_all_pairs(path, n):
+    """n free Booleans with a pairwise factor on every pair: VE's first bucket holds all n."""
+    lines = [f"randvar X{i} t f" for i in range(n)]
+    lines += [f"factor f{i}_{j} X{i} X{j} | 1 2 2 1" for i in range(n) for j in range(i + 1, n)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _write_non_utf8(path):
     """A model whose label holds byte 0xff at offset 13."""
     path.write_bytes(b"randvar A x y\xff\nfactor f A | 1 2\n")
@@ -235,8 +244,8 @@ def _write_non_utf8(path):
 
 
 @pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir", "threads_env",
-                                  "enumeration_cap", "non_utf8_model",
-                                  "overflowing_potentials"])
+                                  "enumeration_cap", "ve_cap", "non_utf8_model",
+                                  "overflowing_potentials", "negative_d", "zero_d"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
                                                monkeypatch, capsys):
@@ -251,13 +260,19 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
         "enumeration_cap": ["infer", "--model",
                             str(_write_free_booleans(tmp_path / "wide.fg", 30)),
                             "--engine", "enumeration", "--query", "X0"],
+        "ve_cap": ["infer", "--model", str(_write_all_pairs(tmp_path / "pairs.fg", 26)),
+                   "--engine", "ve", "--query", "X0"],
         "non_utf8_model": ["infer", "--model", str(_write_non_utf8(tmp_path / "latin1.fg")),
                            "--query", "A"],
         "overflowing_potentials": ["infer", "--model", str(overflowing), "--engine", "ve",
                                    "--query", "A"],
+        "negative_d": ["bench", "--d", "-3", "--instances", "1"],
+        "zero_d": ["bench", "--d", "4,0", "--instances", "1"],
     }[case]
     if case == "threads_env":
         monkeypatch.setenv("LIFTFG_THREADS", "abc")
+    if case == "ve_cap":
+        monkeypatch.setattr(inference, "_multiply", None)   # any product would raise TypeError
     assert main(argv) == 1
     err = capsys.readouterr().err
     if case == "overflowing_potentials":
@@ -268,6 +283,10 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
         assert err.startswith("error: ")
     if case == "non_utf8_model":
         assert "latin1.fg" in err and "byte 13" in err
+    if case == "ve_cap":
+        assert f"{2 ** 26} states, over the cap of {2 ** 24}" in err
+    if case in ("negative_d", "zero_d"):
+        assert "--d" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+from itertools import permutations
 import random
 from unittest import mock
 
@@ -10,9 +11,10 @@ from liftfg import (ColourAssignment, Factor, FactorGraph, Partition, PotentialT
                     initial_colours, parse_model, run_cp, serialize_lifted,
                     singleton_partition)
 from liftfg import cp
-from liftfg.cp import _partition_from
+from liftfg.cp import _partition_from, canonical_form
 from liftfg.benchgen import GenParams, generate_instance
-from conftest import THREE_RV_TEXT, group_of, random_graph
+from conftest import (THREE_RV_TEXT, assert_lifted_matches_bp, group_of, random_graph,
+                      random_model, swap_generated_table)
 
 
 def blocks(groups):
@@ -46,6 +48,81 @@ def test_partial_symmetry_three_args():
 def test_different_range_sizes_never_merge():
     t = PotentialTable((2, 3), (1.0,) * 6)
     assert argument_symmetry_classes(t) == [(0,), (1,)]
+
+
+# --- canonical forms --------------------------------------------------------
+
+def test_canonical_form_is_shared_by_transposed_copies():
+    rng = random.Random(3)
+    for shape in ((2,), (2, 3), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)):
+        for _ in range(5):
+            arr = swap_generated_table(rng, shape)
+            form, order = canonical_form(PotentialTable.from_array(arr))
+            assert form == PotentialTable.from_array(arr.transpose(order))
+            for perm in permutations(range(len(shape))):
+                copy = PotentialTable.from_array(arr.transpose(perm))
+                assert canonical_form(copy)[0] == form
+
+
+def test_transposed_copy_groups_with_its_table():
+    # f2(D, C) is f1's table with its arguments swapped, so C plays A's role
+    # and D plays B's
+    g = parse_model("""
+    randvar A x y
+    randvar B x y
+    randvar C x y
+    randvar D x y
+    factor f1 A B | 1 2 3 4
+    factor f2 D C | 1 3 2 4
+    """)
+    part = run_cp(g)
+    assert blocks(part.rv_groups) == {frozenset("AC"), frozenset("BD")}
+    assert part.factor_groups == (("f1", "f2"),)
+    assert_lifted_matches_bp(g, compress(g, part))
+
+
+def permuted_arguments(g: FactorGraph, rng: random.Random) -> FactorGraph:
+    """g with every factor's arguments shuffled and its table transposed to match."""
+    factors = []
+    for f in g.factors.values():
+        perm = rng.sample(range(len(f.args)), len(f.args))
+        factors.append(Factor(f.name, tuple(f.args[p] for p in perm),
+                              PotentialTable.from_array(f.table.array().transpose(perm))))
+    return FactorGraph(list(g.rvs.values()), factors)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_argument_permutation_keeps_partition(seed):
+    # every table's automorphisms are generated by swaps; see the rotation
+    # test below for a table whose are not
+    rng = random.Random(seed)
+    g = random_model(rng, hidden=0.0)
+    assert run_cp(permuted_arguments(g, rng)) == run_cp(g)
+
+
+def test_rotation_only_table_compresses_and_matches_bp():
+    # t(a, b, c) = h(a, b) h(b, c) h(c, a) with asymmetric h over three
+    # values: rotations fix it, swaps do not.  Copies that differ by a rotation share a form but
+    # may take other canonical slots, so the partition can come out finer
+    # than under a permutation of arguments; it must still compress.
+    h = np.array([[1.0, 2.0, 0.5], [3.0, 5.0, 1.5], [0.7, 1.1, 2.5]])
+    arr = np.einsum("ab,bc,ca->abc", h, h, h)
+    table = PotentialTable.from_array(arr)
+    assert argument_symmetry_classes(table) == [(0,), (1,), (2,)]
+    assert PotentialTable.from_array(arr.transpose(1, 2, 0)) == table
+    rng = random.Random(58)
+    for _ in range(60):
+        names = [f"X{i}" for i in range(rng.randint(3, 6))]
+        factors = [Factor(f"f{j}", tuple(rng.sample(names, 3)),
+                          PotentialTable.from_array(arr.transpose(rng.sample(range(3), 3))))
+                   for j in range(rng.randint(1, 4))]
+        factors += [Factor(f"u{name}", (name,), PotentialTable((3,), (1.0, 1.3, 0.6)))
+                    for name in names if rng.random() < 0.5]
+        used = {a for f in factors for a in f.args}
+        g = FactorGraph([RandomVariable(name, ("x", "y", "z")) for name in names if name in used],
+                        factors)
+        assert_lifted_matches_bp(g, compress(g, run_cp(g)))
 
 
 # --- initial colours -------------------------------------------------------

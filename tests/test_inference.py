@@ -10,6 +10,7 @@ from liftfg import (Factor, FactorGraph, Marginal, PotentialTable, RandomVariabl
                     compress, counting_bp, joint_enumeration, kl_divergence,
                     loopy_bp, parse_model, run_cp, singleton_partition,
                     variable_elimination)
+from liftfg import inference
 from liftfg.inference import _BPStructure, _run_bp, _sliced_superfactors
 from conftest import OVERFLOWING_TEXT, THREE_RV_TEXT, random_graph
 
@@ -48,9 +49,39 @@ def test_enumeration_rejects_unknown():
         joint_enumeration(g, "A")
 
 
-def test_enumeration_state_cap():
-    with pytest.raises(ValueError, match="exceeds cap"):
-        joint_enumeration(parse_model(THREE_RV_TEXT), "B", state_cap=4)
+def test_enumeration_state_cap(monkeypatch):
+    monkeypatch.setattr(inference, "STATE_CAP", 4)
+    with pytest.raises(ValueError, match="state space 8 exceeds cap 4"):
+        joint_enumeration(parse_model(THREE_RV_TEXT), "B")
+
+
+def all_pairs_text(n: int) -> str:
+    lines = [f"randvar X{i} t f" for i in range(n)]
+    lines += [f"factor f{i}_{j} X{i} X{j} | 1 2 2 1.5" for i in range(n) for j in range(i + 1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_ve_state_cap_raises_before_any_product(monkeypatch):
+    # every bucket of an all-pairs model holds all remaining variables; the
+    # first one, over 6 Booleans, needs 64 states
+    g = parse_model(all_pairs_text(6))
+    monkeypatch.setattr(inference, "STATE_CAP", 32)
+    monkeypatch.setattr(inference, "_multiply", None)   # any product would raise TypeError
+    with pytest.raises(ValueError, match="eliminating X1 needs a product of 64 states, "
+                                         "over the cap of 32"):
+        variable_elimination(g, "X0")
+
+
+def test_ve_state_cap_admits_buckets_at_the_cap(monkeypatch):
+    # on a chain of Booleans every bucket spans two variables: 4 states
+    g = parse_model("".join(f"randvar X{i} t f\n" for i in range(6))
+                    + "".join(f"factor f{i} X{i} X{i + 1} | 1 2 3 {i + 1}\n" for i in range(5)))
+    expected = joint_enumeration(g, "X0").probs
+    monkeypatch.setattr(inference, "STATE_CAP", 4)
+    assert variable_elimination(g, "X0").probs == pytest.approx(expected, abs=1e-12)
+    monkeypatch.setattr(inference, "STATE_CAP", 3)
+    with pytest.raises(ValueError, match="over the cap of 3"):
+        variable_elimination(g, "X0")
 
 
 def test_enumeration_missing_query(three_rv):
@@ -405,10 +436,9 @@ def circulant_graphs(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(g=circulant_graphs(), iters=st.sampled_from((1, 5, 20)))
 def test_cbp_matches_bp_whenever_compress_succeeds(g, iters):
-    try:
-        assert_cbp_matches_bp(g, iters)
-    except ValueError as exc:
-        assert "mixes tables" in str(exc)
+    # compress accepts every partition colour passing returns, so no
+    # graph is exempt
+    assert_cbp_matches_bp(g, iters)
 
 
 # --- the flattened kernel against the nested-loop kernel ----------------------------

@@ -1,5 +1,7 @@
 from collections import Counter
+import math
 import random
+import time
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from liftfg import (Factor, FactorGraph, PotentialTable, RandomVariable, all_sig
 from liftfg import cp, lifg
 from liftfg.benchgen import GenParams, generate_instance, remove_potentials
 from liftfg.lifg import CandidateSet, LiftReport, LiftResult
-from conftest import THREE_RV_TEXT, group_of, random_graph
+from conftest import (THREE_RV_TEXT, assert_lifted_matches_bp, group_of, random_graph,
+                      random_model)
 
 BOOL = ("true", "false")
 
@@ -357,24 +360,127 @@ factor u4 X4 | 1.0 1.3
 """
 
 
-def test_crossed_argument_roles_complete_but_uncompressible():
+def test_crossed_argument_roles_split_and_compress():
     # X0 and X4 swap roles between f0 and f2 (distinguishable only through
-    # f3), yet factors compare neighbour colours as multisets, so the two
-    # land in one stable group.  No counting-BP superfactor exists for it:
-    # the lifted model is withheld while the completed graph is returned.
+    # f3).  Factors hear their arguments in canonical slot order, so the
+    # two split, and the lifted model runs counting BP exactly.
     g = parse_model(CROSSED_ROLES.format(content="unknown"))
     res = run_lifg(g, theta=0.0)
     assert res.report.complete
     assert not res.completed.has_unknown
-    assert res.lifted is None
     group = group_of(res.partition.factor_groups)
-    assert group["f0"] == group["f2"]
+    assert group["f0"] != group["f2"]
     assert res.partition == run_cp(res.completed)
+    assert_lifted_matches_bp(res.completed, res.lifted)
 
-    # the fully-known twin behaves identically under plain colour passing
+    # the fully-known twin compresses under plain colour passing too
     known = parse_model(CROSSED_ROLES.format(content="1 2 3 4 5 6 7 8"))
-    with pytest.raises(ValueError, match="no argument alignment"):
-        compress(known, run_cp(known))
+    assert_lifted_matches_bp(known, compress(known, run_cp(known)))
+
+
+def test_transferred_transposed_table_joins_its_candidates():
+    # u(F, E) receives f1's table transposed to its own argument order; the
+    # transferred factor has f1's canonical form, so it groups with f1 and f2
+    g = parse_model("""
+    randvar A x y
+    randvar B x y
+    randvar C x y
+    randvar D x y
+    randvar E x y
+    randvar F x y
+    factor f1 A B | 1 2 3 4
+    factor f2 C D | 1 2 3 4
+    factor u F E | unknown
+    evidence A x
+    evidence C x
+    evidence E x
+    """)
+    res = run_lifg(g, theta=0.0)
+    assert res.completed.factors["u"].table.values == (1.0, 3.0, 2.0, 4.0)
+    assert res.partition.factor_groups == (("f1", "f2", "u"),)
+    assert res.partition.rv_groups == (("A", "C", "E"), ("B", "D", "F"))
+    assert_lifted_matches_bp(res.completed, res.lifted)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_complete_lift_has_a_lifted_model_matching_ground_bp(seed):
+    # reused, transposed and swap-symmetric tables, evidence, hidden factors
+    g = random_model(random.Random(seed), hidden=0.3)
+    for theta in (0.0, 0.5, 1.0):
+        res = run_lifg(g, theta)
+        assert (res.lifted is None) == (not res.report.complete)
+        if res.report.complete:
+            assert_lifted_matches_bp(res.completed, res.lifted)
+
+
+def ring_product(h: np.ndarray, n: int) -> np.ndarray:
+    """t(x0, ..., x{n-1}) = h(x0, x1) h(x1, x2) ... h(x{n-1}, x0)."""
+    arr = np.ones((2,) * n)
+    for i in range(n):
+        j = (i + 1) % n
+        shape = [1] * n
+        shape[i] = shape[j] = 2
+        arr = arr * (h if i < j else h.T).reshape(shape)
+    return arr
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "ring"])
+def test_twelve_ary_factor_lifts_quickly(kind):
+    # a fully symmetric table is one symmetry class; a ring product of one
+    # asymmetric pairwise table gives all twelve axes one key and only
+    # rotations as automorphisms, past the cap on orders tried
+    n = 12
+    if kind == "symmetric":
+        arr = np.linspace(0.5, 2.0, n + 1)[np.indices((2,) * n).sum(axis=0)]
+    else:
+        arr = ring_product(np.array([[1.0, 2.0], [3.0, 5.0]]), n)
+    names = [f"X{i:02d}" for i in range(n)]
+    g = FactorGraph([RandomVariable(name, BOOL) for name in names],
+                    [Factor("f", tuple(names), PotentialTable.from_array(arr))])
+    best = math.inf
+    for _ in range(3):
+        cp.canonical_form.cache_clear()
+        start = time.perf_counter()
+        res = run_lifg(g, theta=0.0)
+        best = min(best, time.perf_counter() - start)
+    assert res.lifted is not None
+    assert best < 0.05
+
+
+@pytest.fixture
+def order_cap_of_one(monkeypatch):
+    """canonical_form tries one order: every block of two or more classes keeps argument order."""
+    monkeypatch.setattr(cp, "MAX_ORDERS", 1)
+    cp.canonical_form.cache_clear()
+    yield
+    cp.canonical_form.cache_clear()
+
+
+def test_transferred_copy_with_another_form_stays_apart(order_cap_of_one):
+    # the table's first argument and its symmetric pair (1, 2) share a key,
+    # so past the cap the form keeps argument order.  f0 receives f3's table
+    # with the pair moved to positions (0, 2): a copy with another form,
+    # which may not join the group of f3, while f2's copy keeps f3's form.
+    g = parse_model("""
+    randvar X0 a b
+    randvar X1 a b
+    randvar X2 a b
+    factor f0 X0 X2 X1 | unknown
+    factor f1 X1 | 2 2
+    factor f2 X1 X0 X2 | unknown
+    factor f3 X1 X0 X2 | 2 2 2 1 1 2 2 1
+    factor f4 X0 X1 X2 | 2 2 2 1 1 2 2 1
+    factor f5 X2 | 2 2
+    """)
+    res = run_lifg(g, theta=0.0)
+    source = g.factors["f3"].table
+    assert cp.argument_symmetry_classes(source) == [(0,), (1, 2)]
+    copy = res.completed.factors["f0"].table
+    assert cp.canonical_form(copy)[0] != cp.canonical_form(source)[0]
+    group = group_of(res.partition.factor_groups)
+    assert group["f2"] == group["f3"] != group["f0"]
+    assert_lifted_matches_bp(res.completed, res.lifted)
 
 
 # --- one selection per phase-1 class -----------------------------------------
@@ -424,12 +530,7 @@ def oracle_run_lifg(g: FactorGraph, theta: float) -> LiftResult:
     completed = g.replace_factors(replacements) if replacements else g
     complete = not completed.has_unknown
     partition = cp.run_cp(completed, initial=cp.ColourAssignment(init.rv_colour, colours))
-    lifted = None
-    if complete:
-        try:
-            lifted = cp.compress(completed, partition)
-        except ValueError:
-            lifted = None
+    lifted = cp.compress(completed, partition) if complete else None
     return LiftResult(completed, lifted, LiftReport(tuple(records), complete), partition)
 
 

@@ -68,6 +68,18 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# nothing declared\n", "invalid model: empty graph: no random variables declared"),
+    ("randvar A x y\nrandvar B x y\nrandvar C x y\nfactor f B | 1 2\n",
+     "invalid model: randvar A: isolated (appears in no factor); "
+     "randvar C: isolated (appears in no factor)"),
+], ids=["empty", "isolated"])
+def test_parse_whole_graph_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError, match="line 3"):
         parse_model("randvar A x y\nrandvar B x y\nfactor f A B | 1 2 3\nfactor g A B | 1 2 3 4")
