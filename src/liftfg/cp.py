@@ -6,6 +6,10 @@ matching of their arguments, so every table has a canonical form
 variables start coloured by (range, evidence) and known factors by the
 canonical forms of their tables; colours are then passed back and forth
 until a round adds no colour, which means the induced partition is stable.
+:func:`run_cp` refines from a worklist: after its first round, a round
+rekeys only the factors next to rvs whose colour id changed in the round
+before, then the rvs next to factors whose id changed in this round, so a
+round costs what it touches and not the size of the graph.
 A known factor hears its arguments' colours in the slot order of its form,
 as a multiset only inside one symmetry class of the form, and tells each
 argument the first slot of that argument's class; so f(A, B) and
@@ -181,6 +185,24 @@ def _dense(keys: dict[str, tuple]) -> dict[str, int]:
     return {name: ids.setdefault(sig, len(ids)) for name, sig in keys.items()}
 
 
+def _factor_keys(names, slots, rv_colour, factor_colour) -> dict[str, tuple]:
+    """Key each named factor by its own colour plus its argument colours in slot order."""
+    keys = {}
+    for name in names:
+        args, runs = slots[name]
+        heard = [rv_colour[a] for a in args]
+        for i, j in runs:
+            heard[i:j] = sorted(heard[i:j])
+        keys[name] = (factor_colour[name], tuple(heard))
+    return keys
+
+
+def _rv_keys(names, adj, rv_colour, factor_colour) -> dict[str, tuple]:
+    """Key each named rv by its own colour plus its (factor colour, tag) multiset."""
+    return {name: (rv_colour[name], tuple(sorted([(factor_colour[f], tag) for f, tag in adj[name]])))
+            for name in names}
+
+
 def initial_colours(g: FactorGraph) -> ColourAssignment:
     """Colour rvs by (range, evidence) and known factors by canonical form.
 
@@ -199,8 +221,68 @@ def initial_colours(g: FactorGraph) -> ColourAssignment:
     return ColourAssignment(rv_colour, factor_colour)
 
 
-def cp_round(g: FactorGraph, colours: ColourAssignment, _roles=None) -> ColourAssignment:
-    """One full refinement round.
+class _Classes:
+    """One namespace of a colouring that run_cp refines in place.
+
+    ``colour`` maps each node to its class id and ``members`` each id to
+    its nodes.  A split keeps one part under the class id and gives every
+    other part a fresh id, so ids are never reused.
+    """
+
+    def __init__(self, colour: dict[str, int]):
+        self.colour = dict(colour)
+        self.members: dict[int, set[str]] = {}
+        for name, c in self.colour.items():
+            self.members.setdefault(c, set()).add(name)
+        self.next_id = max(self.members, default=-1) + 1
+
+    def split(self, keys: dict[str, tuple], key_of) -> list[str]:
+        """Split the classes of the rekeyed nodes by key; return the nodes given fresh ids.
+
+        ``keys`` holds the rekeyed nodes, each key led by the node's own
+        colour; ``key_of(name)`` keys one other node.  The part whose key
+        equals that of an untouched member keeps the class id; when every
+        member was rekeyed, the largest part (the first of equal ones)
+        keeps it.
+        """
+        parts_of: dict[int, dict[tuple, list[str]]] = {}
+        for name, key in keys.items():
+            parts_of.setdefault(key[0], {}).setdefault(key, []).append(name)
+        fresh = []
+        for c, parts in parts_of.items():
+            members = self.members[c]
+            if sum(map(len, parts.values())) < len(members):
+                keep = key_of(next(m for m in members if m not in keys))
+            elif len(parts) == 1:
+                continue
+            else:
+                keep = max(parts, key=lambda k: len(parts[k]))
+            for key, part in parts.items():
+                if key != keep:
+                    members.difference_update(part)
+                    self.members[self.next_id] = set(part)
+                    for name in part:
+                        self.colour[name] = self.next_id
+                    self.next_id += 1
+                    fresh += part
+        return fresh
+
+
+class _Worklist:
+    """run_cp's state between rounds: the colouring and what the next round rekeys."""
+
+    def __init__(self, g: FactorGraph, colours: ColourAssignment):
+        self.slots, self.adj = _roles_of(g)
+        self.rvs = _Classes(colours.rv_colour)
+        self.factors = _Classes(colours.factor_colour)
+        self.first = True
+        self.factor_worklist = self.slots     # the first round rekeys every factor
+        self.fresh = 0                        # nodes the last round gave fresh ids
+
+
+def cp_round(g: FactorGraph, colours: ColourAssignment, _state: _Worklist | None = None
+             ) -> ColourAssignment:
+    """One refinement round.
 
     (a) every factor is rekeyed by its own colour plus its argument colours
     in slot order, sorted only inside a symmetry class of its canonical
@@ -208,56 +290,58 @@ def cp_round(g: FactorGraph, colours: ColourAssignment, _roles=None) -> ColourAs
     own colour plus the multiset of (new factor colour, position tag)
     pairs.  New ids are dense per namespace and follow the first appearance
     of each signature in the graph's rv and factor order, so the result is
-    deterministic.
+    deterministic.  This costs O(n + m) for n nodes and m edges.
+
+    With ``_state`` (run_cp's worklist) the round refines the state's
+    colouring in place and ``colours`` is not read.  Its first round rekeys
+    every node; a later round rekeys only the factors next to rvs that the
+    previous round gave a fresh id, then the rvs next to factors that this
+    round gave a fresh id.  An untouched member of a class keeps its key,
+    so the part that shares its key keeps the class id, and every other
+    part gets a fresh one.  A round then costs O(the edges of the nodes it
+    rekeys), and the partition after each round is the one a full round
+    gives.
     """
-    slots, adj = _roles if _roles is not None else _roles_of(g)
-    rv_colour = colours.rv_colour
-    factor_keys = {}
-    for name, (args, runs) in slots.items():
-        heard = [rv_colour[a] for a in args]
-        for i, j in runs:
-            heard[i:j] = sorted(heard[i:j])
-        factor_keys[name] = (colours.factor_colour[name], tuple(heard))
-    new_factor = _dense(factor_keys)
-    rv_keys = {
-        name: (rv_colour[name], tuple(sorted((new_factor[fname], tag) for fname, tag in adj[name])))
-        for name in g.rvs
-    }
-    new_rv = _dense(rv_keys)
-    return ColourAssignment(new_rv, new_factor)
+    if _state is None:
+        slots, adj = _roles_of(g)
+        new_factor = _dense(_factor_keys(slots, slots, colours.rv_colour, colours.factor_colour))
+        new_rv = _dense(_rv_keys(g.rvs, adj, colours.rv_colour, new_factor))
+        return ColourAssignment(new_rv, new_factor)
+    s = _state
+    slots, adj, rv, factor = s.slots, s.adj, s.rvs.colour, s.factors.colour
+    fresh = s.factors.split(_factor_keys(s.factor_worklist, slots, rv, factor),
+                            lambda name: _factor_keys((name,), slots, rv, factor)[name])
+    touched = g.rvs if s.first else dict.fromkeys([a for f in fresh for a in slots[f][0]])
+    fresh_rvs = s.rvs.split(_rv_keys(touched, adj, rv, factor),
+                            lambda name: _rv_keys((name,), adj, rv, factor)[name])
+    s.first = False
+    s.factor_worklist = dict.fromkeys([f for a in fresh_rvs for f, _ in adj[a]])
+    s.fresh = len(fresh) + len(fresh_rvs)
+    return ColourAssignment(rv, factor)
 
 
-def _colour_count(colours: ColourAssignment) -> int:
-    return len(set(colours.rv_colour.values())) + len(set(colours.factor_colour.values()))
-
-
-def _partition_from(colours: ColourAssignment) -> Partition:
-    def groups(colour_map: dict[str, int]) -> tuple[tuple[str, ...], ...]:
-        by_colour: dict[int, list[str]] = {}
-        for name, c in colour_map.items():
-            by_colour.setdefault(c, []).append(name)
-        blocks = [tuple(sorted(members)) for members in by_colour.values()]
-        return tuple(sorted(blocks))
-
-    return Partition(groups(colours.rv_colour), groups(colours.factor_colour))
+def _groups(blocks) -> tuple[tuple[str, ...], ...]:
+    """Canonical group order: names sorted inside a group, groups sorted."""
+    return tuple(sorted([tuple(sorted(members)) for members in blocks]))
 
 
 def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition:
-    """Iterate cp_round until a round adds no colour; return the partition.
+    """Refine from a worklist until a round issues no fresh id; return the partition.
 
-    Every round keys a node by its own colour too, so each colouring refines
-    the one before it, and a round that keeps the number of rv plus factor
-    colours keeps the partition.  Unknown factors are permitted: they keep
-    their initial colours (unique unless the caller pre-grouped them via
-    ``initial``).
+    Every round keys a node by its own colour too, so each colouring
+    refines the one before it, and a round that issues no fresh id keeps
+    the partition.  Rounds after the first rekey only the neighbours of
+    nodes whose id changed (see cp_round), so an anchored chain of n
+    variables, which needs about n/2 rounds, costs O(n) rather than
+    O(n^2).  Unknown factors are permitted: they keep their initial
+    colours (unique unless the caller pre-grouped them via ``initial``).
     """
     colours = initial if initial is not None else initial_colours(g)
-    roles = _roles_of(g)
-    before, count = -1, _colour_count(colours)
-    while count != before:
-        colours = cp_round(g, colours, _roles=roles)
-        before, count = count, _colour_count(colours)
-    return _partition_from(colours)
+    state = _Worklist(g, colours)
+    cp_round(g, colours, _state=state)
+    while state.fresh:
+        cp_round(g, colours, _state=state)
+    return Partition(_groups(state.rvs.members.values()), _groups(state.factors.members.values()))
 
 
 def _check_covers(g: FactorGraph, partition: Partition):

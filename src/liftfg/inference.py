@@ -1,8 +1,9 @@
 """Inference engines: exact enumeration, variable elimination, ground and counting BP.
 
 Enumeration is the oracle everything else is checked against.  Variable
-elimination uses a min-degree ordering, kept with incremental neighbour sets
-and a heap, and matches enumeration to float precision.
+elimination uses a min-degree ordering, kept with a heap and with neighbour
+sets built when an elimination first changes them, and matches enumeration
+to float precision.
 
 Belief propagation is synchronous sum-product with per-round normalisation
 and a fixed iteration count.  Its kernel is flat: messages live in one
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .model import FactorGraph
+from .model import FactorGraph, PotentialTable
 from .cp import LiftedModel
 # unused here, but perfbench/tracing.py wraps inference.compress; without it Tracer.install() raises
 from .cp import compress  # noqa: F401
@@ -112,12 +113,22 @@ def joint_enumeration(g: FactorGraph, query: str) -> Marginal:
     return Marginal.normalised(query, weights)
 
 
+def _table_array(table: PotentialTable, memo: dict) -> np.ndarray:
+    """table.array(), built once per table in memo; read-only, since its slices are shared."""
+    arr = memo.get(table)
+    if arr is None:
+        arr = memo[table] = table.array()
+        arr.flags.writeable = False
+    return arr
+
+
 def _sliced_factors(g: FactorGraph) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """Factor tables with evidence axes fixed; fully-observed factors dropped."""
+    arrays: dict[PotentialTable, np.ndarray] = {}
     out = []
     for name in sorted(g.factors):
         f = g.factors[name]
-        arr = f.table.array()
+        arr = _table_array(f.table, arrays)
         scope = []
         index: list[object] = []
         for a in f.args:
@@ -127,7 +138,8 @@ def _sliced_factors(g: FactorGraph) -> list[tuple[tuple[str, ...], np.ndarray]]:
                 index.append(slice(None))
             else:
                 index.append(rv.evidence)
-        arr = arr[tuple(index)]
+        if len(scope) < len(index):
+            arr = arr[tuple(index)]
         if scope:
             out.append((tuple(scope), arr))
     return out
@@ -137,6 +149,8 @@ def _multiply(scope_a, arr_a, scope_b, arr_b):
     scope = tuple(sorted(set(scope_a) | set(scope_b)))
 
     def expand(scope_src, arr):
+        if scope_src == scope:
+            return arr
         order = [scope_src.index(v) for v in scope if v in scope_src]
         arr = np.transpose(arr, order)
         shape = []
@@ -177,33 +191,43 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
     live: dict[int, tuple[tuple[str, ...], np.ndarray]] = dict(enumerate(_sliced_factors(g)))
     next_id = len(live)
     of_var: dict[str, set[int]] = {}
-    nbrs: dict[str, set[str]] = {}
     for fid, (scope, _) in live.items():
         for v in scope:
             of_var.setdefault(v, set()).add(fid)
-            nbrs.setdefault(v, set()).update(scope)
-    for v, ns in nbrs.items():
+
+    def neighbours(v: str) -> set[str]:
+        """The variables that share a live factor with v."""
+        ns: set[str] = set()
+        for fid in of_var[v]:
+            ns.update(live[fid][0])
         ns.discard(v)
+        return ns
 
     # a bucket of at most `safe` neighbours stays under the cap, however large
     # their ranges: largest_range ** (safe + 1) <= STATE_CAP
-    largest_range = max([len(g.rvs[v].range) for v in nbrs] + [2])
+    largest_range = max([len(g.rvs[v].range) for v in of_var] + [2])
     safe = -1
     while largest_range ** (safe + 2) <= STATE_CAP:
         safe += 1
 
     # min-degree order by (degree, name); a heap entry is stale once its
-    # variable is eliminated or its degree has changed
+    # variable is eliminated or its degree has changed.  A variable's
+    # neighbour set is kept from the first elimination that changes it until
+    # the variable's own elimination, so a sparse graph holds only a few.
     remaining = set(of_var) - {query}
-    heap = [(len(nbrs[v]), v) for v in remaining]
+    degree = {v: len(neighbours(v)) for v in remaining}
+    nbrs: dict[str, set[str]] = {}
+    heap = [(d, v) for v, d in degree.items()]
     heapq.heapify(heap)
     while remaining:
         d, var = heapq.heappop(heap)
-        if var not in remaining or d != len(nbrs[var]):
+        if var not in remaining or d != degree[var]:
             continue
         remaining.remove(var)
+        ns = nbrs.pop(var, None)
         if d > safe:
-            states = math.prod(len(g.rvs[v].range) for v in nbrs[var] | {var})
+            states = math.prod(len(g.rvs[v].range)
+                               for v in (neighbours(var) if ns is None else ns) | {var})
             if states > STATE_CAP:
                 raise ValueError(f"eliminating {var} needs a product of {states} states, "
                                  f"over the cap of {STATE_CAP}")
@@ -228,11 +252,16 @@ def variable_elimination(g: FactorGraph, query: str) -> Marginal:
         # only the new factor's scope changes neighbourhoods: each of its
         # variables gains the scope and loses the eliminated variable
         for v in scope:
-            ns = nbrs[v]
-            ns.update(scope)
-            ns.difference_update((v, var))
-            if v in remaining:
-                heapq.heappush(heap, (len(ns), v))
+            if v not in remaining:
+                continue
+            ns = nbrs.get(v)
+            if ns is None:
+                nbrs[v] = ns = neighbours(v)     # live already holds the new factor
+            else:
+                ns.update(scope)
+                ns.difference_update((v, var))
+            degree[v] = len(ns)
+            heapq.heappush(heap, (len(ns), v))
     weights = np.ones(len(q_rv.range))
     for scope, arr in live.values():
         if scope == (query,):
@@ -272,7 +301,7 @@ class _BPStructure:
         edge_count: list[list[int]] = [[] for _ in sizes]
         by_shape: dict[tuple[int, ...], tuple[list, list]] = {}
         for table, ss, cc in zip(tables, slots, counts):
-            shape = tuple(ranges[vi] for vi in ss)
+            shape = tuple([ranges[vi] for vi in ss])
             stacked, rows = by_shape.setdefault(shape, ([], [[] for _ in ss]))
             stacked.append(table)
             for si, (vi, c) in enumerate(zip(ss, cc)):
@@ -353,9 +382,10 @@ def _sliced_superfactors(m: LiftedModel) -> tuple[list, list, list, list]:
     free = [sv for sv in m.supervars if sv.evidence is None]
     observed = {sv.name: sv for sv in m.supervars if sv.evidence is not None}
     var_index = {sv.name: i for i, sv in enumerate(free)}
+    arrays: dict[PotentialTable, np.ndarray] = {}
     tables, slots, counts = [], [], []
     for sf in m.superfactors:
-        arr = sf.table.array()
+        arr = _table_array(sf.table, arrays)
         index: list[object] = []
         ss, cc = [], []
         for sv_name in sf.args:
@@ -365,11 +395,12 @@ def _sliced_superfactors(m: LiftedModel) -> tuple[list, list, list, list]:
                 index.append(slice(None))
                 ss.append(var_index[sv_name])
                 cc.append(m.edge_counts[(sv_name, sf.name)] / sf.args.count(sv_name))
-        arr = arr[tuple(index)]
+        if len(ss) < len(index):
+            arr = arr[tuple(index)]
         if ss:
             tables.append(arr)
-            slots.append(ss)
-            counts.append(cc)
+            slots.append(tuple(ss))
+            counts.append(tuple(cc))
     return free, tables, slots, counts
 
 
@@ -406,8 +437,10 @@ def loopy_bp(g: FactorGraph, iters: int = 50) -> dict[str, Marginal]:
     var_index = {name: i for i, name in enumerate(free)}
     sliced = _sliced_factors(g)
     tables = [arr for _, arr in sliced]
-    slots = [[var_index[a] for a in scope] for scope, _ in sliced]
-    counts = [[1] * len(scope) for scope, _ in sliced]
+    # per-factor rows are tuples built from lists: CPython reuses freed tuples
+    # of the same size for them, so they add nothing to the garbage collector's count
+    slots = [tuple([var_index[a] for a in scope]) for scope, _ in sliced]
+    counts = [(1,) * len(scope) for scope, _ in sliced]
     structure = _BPStructure([len(g.rvs[name].range) for name in free], tables, slots, counts)
     beliefs = _run_bp(structure, iters)
     out = {}

@@ -140,12 +140,17 @@ def run_lifg(g: FactorGraph, theta: float) -> LiftResult:
     Unknown factors are grouped by neighbourhood signature (phase 1), and
     candidate selection runs once per such class (phase 2); the transfer
     itself is made per unknown factor, in that factor's argument order.
+    A graph without unknown factors skips both phases: it is colour passed
+    and compressed as it is.
     Returns the completed graph (unknown factors replaced where a transfer
     succeeded), the lifted model (withheld when any factor stays unknown),
     a per-unknown report, and the stable partition.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    if not g.has_unknown:
+        partition = cp.run_cp(g)
+        return LiftResult(g, cp.compress(g, partition), LiftReport((), True), partition)
     init = cp.initial_colours(g)
     colours = dict(init.factor_colour)
 

@@ -173,6 +173,20 @@ def _parse_number(tok: str, lineno: int) -> float:
     return v
 
 
+def _parse_table(name: str, sizes: tuple[int, ...], tail: list[str], lineno: int) -> PotentialTable:
+    """The table of factor ``name`` from its value tokens, checked against its range sizes."""
+    if not tail:
+        raise ParseError(f"line {lineno}: factor {name!r} has no table values")
+    values = tuple(_parse_number(t, lineno) for t in tail)
+    if len(values) != math.prod(sizes):
+        raise ParseError(
+            f"line {lineno}: table length mismatch for {name!r} "
+            f"({len(values)} values for {math.prod(sizes)} cells)")
+    if any(v <= 0.0 for v in values):
+        raise ParseError(f"line {lineno}: non-positive potential in {name!r}")
+    return PotentialTable(sizes, values)
+
+
 def parse_model(text: str) -> FactorGraph:
     """Parse the text format into a validated FactorGraph.
 
@@ -180,10 +194,13 @@ def parse_model(text: str) -> FactorGraph:
     reference them.  Raises ParseError with a line number on any defect of
     a line.  Those checks cover everything ``validate`` checks per item, so
     the finished graph is only checked as a whole: it must declare an rv,
-    and every rv must appear in a factor.
+    and every rv must appear in a factor.  Factors with equal range sizes
+    and equal table text share one PotentialTable, whose values are parsed
+    and checked once, on the first line that holds them.
     """
     rvs: dict[str, RandomVariable] = {}
     factors: dict[str, Factor] = {}
+    tables: dict[tuple, PotentialTable] = {}   # (range sizes, table text) -> parsed table
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,17 +234,11 @@ def parse_model(text: str) -> FactorGraph:
             if tail == ["unknown"]:
                 factors[name] = Factor(name, args, None)
             else:
-                if not tail:
-                    raise ParseError(f"line {lineno}: factor {name!r} has no table values")
-                values = tuple(_parse_number(t, lineno) for t in tail)
                 sizes = tuple(len(rvs[a].range) for a in args)
-                if len(values) != math.prod(sizes):
-                    raise ParseError(
-                        f"line {lineno}: table length mismatch for {name!r} "
-                        f"({len(values)} values for {math.prod(sizes)} cells)")
-                if any(v <= 0.0 for v in values):
-                    raise ParseError(f"line {lineno}: non-positive potential in {name!r}")
-                factors[name] = Factor(name, args, PotentialTable(sizes, values))
+                key = (sizes, tuple(tail))
+                if key not in tables:
+                    tables[key] = _parse_table(name, sizes, tail, lineno)
+                factors[name] = Factor(name, args, tables[key])
         elif kind == "evidence":
             if len(toks) != 3:
                 raise ParseError(f"line {lineno}: evidence needs a randvar and a label")

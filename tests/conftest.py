@@ -95,6 +95,25 @@ def random_graph(rng: random.Random, max_rvs=8, with_evidence=False,
     return FactorGraph(rvs, factors)
 
 
+PAIR = PotentialTable((2, 2), (1.0, 2.0, 0.5, 3.0))        # no argument symmetry
+ANCHOR = PotentialTable((2,), (1.0, 2.0))
+
+
+def chain_graph(n: int, anchors=(0,), ring=False, table=PAIR, hidden=()) -> FactorGraph:
+    """x0 - p0 - x1 - ... - x{n-1}, every pairwise factor sharing one table.
+
+    ``anchors`` get a unary factor each, ``ring`` adds p{n-1} from x{n-1}
+    back to x0, and the pairwise factors named by index in ``hidden`` are
+    unknown.  One anchor at an end makes colour passing take about n/2
+    rounds.
+    """
+    rvs = [RandomVariable(f"x{i}", ("a", "b")) for i in range(n)]
+    factors = [Factor(f"a{i}", (f"x{i}",), ANCHOR) for i in anchors]
+    factors += [Factor(f"p{i}", (f"x{i}", f"x{(i + 1) % n}"), None if i in hidden else table)
+                for i in range(n if ring else n - 1)]
+    return FactorGraph(rvs, factors)
+
+
 def swap_generated_table(rng: random.Random, shape) -> np.ndarray:
     """Random values, made symmetric in some equal-range axes with probability 0.4.
 

@@ -1,5 +1,6 @@
 from itertools import permutations
 import random
+import time
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -11,14 +12,25 @@ from liftfg import (ColourAssignment, Factor, FactorGraph, Partition, PotentialT
                     initial_colours, parse_model, run_cp, serialize_lifted,
                     singleton_partition)
 from liftfg import cp
-from liftfg.cp import _partition_from, canonical_form
+from liftfg.cp import _groups, canonical_form
 from liftfg.benchgen import GenParams, generate_instance
-from conftest import (THREE_RV_TEXT, assert_lifted_matches_bp, group_of, random_graph,
-                      random_model, swap_generated_table)
+from conftest import (THREE_RV_TEXT, assert_lifted_matches_bp, chain_graph, group_of,
+                      random_graph, random_model, swap_generated_table)
 
 
 def blocks(groups):
     return {frozenset(grp) for grp in groups}
+
+
+def _partition_from(colours: ColourAssignment) -> Partition:
+    """The partition a colouring induces, in canonical group order."""
+    def groups(colour_map: dict[str, int]):
+        by_colour: dict[int, list[str]] = {}
+        for name, c in colour_map.items():
+            by_colour.setdefault(c, []).append(name)
+        return _groups(by_colour.values())
+
+    return Partition(groups(colours.rv_colour), groups(colours.factor_colour))
 
 
 # --- argument symmetry classes -------------------------------------------
@@ -358,6 +370,56 @@ def test_run_cp_matches_partition_comparing_oracle(case):
     c = cp_round(g, initial if initial is not None else initial_colours(g))
     for ids in (c.rv_colour.values(), c.factor_colour.values()):
         assert sorted(set(ids)) == list(range(len(set(ids))))
+
+
+SYMMETRIC_PAIR = PotentialTable((2, 2), (2.0, 3.0, 3.0, 5.0))
+
+# (n, anchored rvs, ring, pairwise table)
+CHAIN_CASES = ([(n, (0,), False, None) for n in (2, 3, 8, 9, 30, 31, 59, 60)]
+               + [(n, (0,), False, SYMMETRIC_PAIR) for n in (9, 60)]
+               + [(n, (0, n - 1), False, None) for n in (9, 10, 41, 60)]
+               + [(n, (), True, None) for n in (3, 12, 60)]
+               + [(n, (), True, SYMMETRIC_PAIR) for n in (12,)])
+
+
+def chain_case_id(case):
+    n, anchors, ring, table = case
+    shape = "ring" if ring else f"{len(anchors)}-anchor-chain"
+    return f"{shape}-n{n}-{'symmetric' if table else 'asymmetric'}"
+
+
+@pytest.mark.parametrize("n, anchors, ring, table", CHAIN_CASES,
+                         ids=[chain_case_id(case) for case in CHAIN_CASES])
+def test_run_cp_matches_oracle_on_chains(n, anchors, ring, table):
+    g = chain_graph(n, anchors, ring, **({} if table is None else {"table": table}))
+    part, rounds = counted_rounds(run_cp, g, None)
+    expected, oracle_rounds = counted_rounds(oracle_run_cp, g, None)
+    assert part == expected
+    assert rounds == oracle_rounds
+
+
+def test_run_cp_matches_oracle_on_benchmark_chain():
+    # the benchmark's chain shape: n = 250, one shared table, a few hidden
+    # factors given one colour through ``initial`` as run_lifg's phase 1 does
+    g = chain_graph(250, hidden=(17, 90, 91, 200))
+    start = initial_colours(g)
+    colour = dict(start.factor_colour)
+    for name in ("p90", "p91", "p200"):
+        colour[name] = colour["p17"]
+    initial = ColourAssignment(start.rv_colour, colour)
+    part, rounds = counted_rounds(run_cp, g, initial)
+    expected, oracle_rounds = counted_rounds(oracle_run_cp, g, initial)
+    assert part == expected
+    assert rounds == oracle_rounds
+
+
+def test_run_cp_on_a_long_anchored_chain_is_fast():
+    # rekeying every node every round took 6-7 s on a 2-vCPU Xeon
+    g = chain_graph(2000)
+    start = time.perf_counter()
+    part = run_cp(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(part.rv_groups) == 2000
 
 
 # --- position handling -------------------------------------------------------

@@ -396,7 +396,7 @@ def test_cbp_matches_bp_on_one_supervar_models(g):
     sv, = m.supervars
     *_, counts = _sliced_superfactors(m)
     for sf, cc in zip(m.superfactors, counts):
-        assert cc == [sf.size / sv.size] * len(sf.args)
+        assert cc == (sf.size / sv.size,) * len(sf.args)
 
 
 @st.composite

@@ -598,3 +598,21 @@ def test_run_lifg_matches_per_unknown_oracle(g):
         assert res.partition == expected.partition
         assert res.report == expected.report
         assert res.report.to_text() == expected.report.to_text()
+
+
+def test_run_lifg_on_a_known_graph_skips_both_phases(three_rv, epidemic):
+    # a graph without unknowns gives what the phase loop gives, without
+    # computing a single neighbourhood signature
+    rng = random.Random(15)
+    graphs = ([three_rv, epidemic]
+              + [random_graph(rng, with_evidence=True, shared_tables=True) for _ in range(20)]
+              + [random_model(rng, hidden=0.0) for _ in range(20)])
+    for g in graphs:
+        expected = oracle_run_lifg(g, 0.5)
+        with mock.patch.object(lifg, "all_signatures", wraps=lifg.all_signatures) as spy:
+            res = run_lifg(g, 0.5)
+        assert spy.call_count == 0
+        assert res.completed is g
+        assert res.partition == expected.partition
+        assert res.lifted == expected.lifted
+        assert res.report == expected.report == LiftReport((), True)

@@ -91,6 +91,48 @@ def test_parse_rejects_duplicate_evidence():
         parse_model(THREE_RV_TEXT + "evidence A true\nevidence A false\n")
 
 
+def test_equal_table_text_shares_one_table(three_rv):
+    assert three_rv.factors["phi1"].table is three_rv.factors["phi2"].table
+
+
+def test_equal_text_at_other_range_sizes_is_another_table():
+    g = parse_model("""
+    randvar A x y
+    randvar B x y z
+    factor f A B | 1 2 3 4 5 6
+    factor g B A | 1 2 3 4 5 6
+    factor h B A | 1 2 3 4 5 6
+    """)
+    tf, tg, th = (g.factors[name].table for name in ("f", "g", "h"))
+    assert (tf.range_sizes, tg.range_sizes) == ((2, 3), (3, 2))
+    assert tf is not tg and tg is th
+
+
+@pytest.mark.parametrize("text, message", [
+    ("randvar A x y\nrandvar B x y\nfactor f A | 1 -2\nfactor g B | 1 -2\n",
+     "line 3: non-positive potential in 'f'"),
+    ("randvar A x y\nrandvar B x y\nfactor f A | 1 x\nfactor g B | 1 x\n",
+     "line 3: expected a number, got 'x'"),
+    # the text is a good table for f, but not at g's range sizes
+    ("randvar A x y\nrandvar B x y\nfactor f A B | 1 2 3 4\nfactor g B | 1 2 3 4\n",
+     r"line 4: table length mismatch for 'g' \(4 values for 2 cells\)"),
+])
+def test_repeated_table_text_fails_on_its_first_bad_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+
+
+def test_round_trip_with_shared_tables():
+    rng = random.Random(18)
+    for _ in range(40):
+        g = random_graph(rng, with_evidence=True, shared_tables=True)
+        again = parse_model(serialize_model(g))
+        assert again == g
+        by_text = {}
+        for f in again.factors.values():
+            assert by_text.setdefault((f.table.range_sizes, f.table.values), f.table) is f.table
+
+
 def test_round_trip_three_rv(three_rv):
     assert parse_model(serialize_model(three_rv)) == three_rv
 

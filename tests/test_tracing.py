@@ -2,14 +2,16 @@
 
 perfbench/tracing.py replaces each function in WRAPPED in its module
 namespace, so a span is recorded only while the pipeline keeps calling that
-function through the module global.  This test runs one small lift and BP
-pass under the tracer and checks that every wrapped name still fires.
+function through the module global.  These tests run small lifts and a BP
+pass under the tracer: every wrapped name still fires, and colour passing
+records one span per refinement round.
 """
 
 import importlib.util
 from pathlib import Path
 
 from liftfg import benchgen, inference, lifg, model
+from conftest import chain_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +42,22 @@ def test_every_wrapped_function_records_a_span():
     recorded = {span[tracing.NAME] for span in tracer.spans}
     assert {name for _, _, name in tracing.WRAPPED} - recorded == set()
     assert [getattr(module, attr) for module, attr, _ in tracing.WRAPPED] == originals
+
+
+def test_one_cp_round_span_per_refinement_round():
+    # an anchored chain of even length n refines for n/2 rounds, then one
+    # round adds no colour
+    n = 40
+    g = chain_graph(n, hidden=(7,))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = lifg.run_lifg(g, theta=0.0)
+    finally:
+        tracer.uninstall()
+    assert result.report.complete
+    assert len(result.partition.rv_groups) == n
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("cp.run_cp") == 1
+    assert names.count("cp.cp_round") == n // 2 + 1
