@@ -7,7 +7,6 @@ command mutates its input files.
 """
 
 import argparse
-import os
 import sys
 
 from .model import ParseError, parse_model, serialize_model
@@ -118,19 +117,10 @@ def cmd_bench(args) -> int:
         print(f"error: every --d must be at least 2, got {min(ds)}", file=sys.stderr)
         return 1
     battery = [GenParams(d=d, seed=args.seed, theta=args.theta) for d in ds]
-    workers = args.workers
-    env_cap = os.environ.get("LIFTFG_THREADS")
-    if env_cap:
-        try:
-            workers = min(workers, max(1, int(env_cap)))
-        except ValueError:
-            print(f"error: LIFTFG_THREADS must be an integer, got {env_cap!r}",
-                  file=sys.stderr)
-            return 1
     try:
         records, aggregates = run_benchmark(
             battery, args.instances, out=args.out, iters=args.iters,
-            reps=args.reps, kl_cap_d=args.kl_cap, workers=workers)
+            reps=args.reps, kl_cap_d=args.kl_cap, workers=args.workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,13 @@ f'(B, A), with f' the transpose of f, group together, and two factors
 whose arguments play crossed roles do not.  An unknown factor hears one
 unordered multiset and tells each argument its raw position.
 
-The stable partition is compressed into a :class:`LiftedModel`: one
-supervariable per variable group, one superfactor per factor group, and
-per-edge ground counts that drive counting belief propagation.  A
+A partition is stable when one round of colour passing from it, with
+every node coloured by its group, splits no group.  A stable partition
+is compressed into a :class:`LiftedModel`: one supervariable per variable
+group, one superfactor per factor group, and per-edge ground counts that
+drive counting belief propagation.  :func:`compress` checks stability
+with the same round keys and the same argument layout that
+:func:`run_cp` uses, so the two share one definition of it.  A
 superfactor may list one supervariable in several slots, as rings, grids
 and all-pairs models do.
 """
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
 import math
+import weakref
 
 from .model import FactorGraph, PotentialTable
 
@@ -74,10 +79,12 @@ class LiftedModel:
     """Compressed graph: supervariables, superfactors and ground edge counts.
 
     ``edge_counts[(X, F)]`` is the number of ground factors of group F
-    adjacent to one representative ground rv of group X.  When F lists X in
-    k slots, every member of X fills each symmetry class of those slots
-    equally often (``compress`` checks this), so each slot carries
-    ``edge_counts[(X, F)] / k``, which is ``F.size / X.size``.
+    adjacent to one representative ground rv of group X.  The partition is
+    stable: one colour-passing round from it splits no group, so every
+    member of X has the same count, and when F lists X in k slots, every
+    member of X fills each symmetry class of those slots equally often.
+    Each slot therefore carries ``edge_counts[(X, F)] / k``, which is
+    ``F.size / X.size``.
     """
 
     supervars: tuple[SuperVar, ...]
@@ -179,6 +186,23 @@ def _roles_of(g: FactorGraph):
     return slots, adj
 
 
+_last_layout = (lambda: None, None)   # (weak reference to a graph, its _roles_of)
+
+
+def _layout(g: FactorGraph):
+    """_roles_of(g), shared by run_cp, cp_round and compress on one graph object.
+
+    One entry is kept and it holds the graph by weak reference, so no graph
+    is kept alive and at most one layout outlives its graph.
+    """
+    global _last_layout
+    ref, layout = _last_layout
+    if ref() is not g:
+        layout = _roles_of(g)
+        _last_layout = (weakref.ref(g), layout)
+    return layout
+
+
 def _dense(keys: dict[str, tuple]) -> dict[str, int]:
     """Number the distinct signatures 0..k-1 in order of first appearance."""
     ids: dict[tuple, int] = {}
@@ -272,7 +296,7 @@ class _Worklist:
     """run_cp's state between rounds: the colouring and what the next round rekeys."""
 
     def __init__(self, g: FactorGraph, colours: ColourAssignment):
-        self.slots, self.adj = _roles_of(g)
+        self.slots, self.adj = _layout(g)
         self.rvs = _Classes(colours.rv_colour)
         self.factors = _Classes(colours.factor_colour)
         self.first = True
@@ -303,7 +327,7 @@ def cp_round(g: FactorGraph, colours: ColourAssignment, _state: _Worklist | None
     gives.
     """
     if _state is None:
-        slots, adj = _roles_of(g)
+        slots, adj = _layout(g)
         new_factor = _dense(_factor_keys(slots, slots, colours.rv_colour, colours.factor_colour))
         new_rv = _dense(_rv_keys(g.rvs, adj, colours.rv_colour, new_factor))
         return ColourAssignment(new_rv, new_factor)
@@ -325,6 +349,16 @@ def _groups(blocks) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted([tuple(sorted(members)) for members in blocks]))
 
 
+def _check_colours(g: FactorGraph, colours: ColourAssignment):
+    """Raise ValueError unless colours gives every rv and factor of g, and nothing else, a colour."""
+    for kind, colour, nodes in (("rv", colours.rv_colour, g.rvs),
+                                ("factor", colours.factor_colour, g.factors)):
+        if colour.keys() != nodes.keys():
+            problems = ([f"{kind} {m!r} has no colour" for m in nodes if m not in colour]
+                        + [f"{kind} {m!r} is not in the graph" for m in colour if m not in nodes])
+            raise ValueError(f"initial colouring does not cover the graph: {problems[0]}")
+
+
 def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition:
     """Refine from a worklist until a round issues no fresh id; return the partition.
 
@@ -335,8 +369,14 @@ def run_cp(g: FactorGraph, initial: ColourAssignment | None = None) -> Partition
     variables, which needs about n/2 rounds, costs O(n) rather than
     O(n^2).  Unknown factors are permitted: they keep their initial
     colours (unique unless the caller pre-grouped them via ``initial``).
+    Raises ValueError when ``initial`` leaves out a node of g or colours
+    one that g lacks.
     """
-    colours = initial if initial is not None else initial_colours(g)
+    if initial is None:
+        colours = initial_colours(g)
+    else:
+        _check_colours(g, initial)
+        colours = initial
     state = _Worklist(g, colours)
     cp_round(g, colours, _state=state)
     while state.fresh:
@@ -359,113 +399,74 @@ def _check_covers(g: FactorGraph, partition: Partition):
         raise ValueError(f"partition does not cover the graph: {problems[0]}")
 
 
-def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
-    """Build the lifted model for a CP-stable partition of g.
+def _shared(groups) -> list[str]:
+    """The members of every group of more than one; a group of one cannot split."""
+    return [m for members in groups if len(members) > 1 for m in members]
 
-    Every factor group must be fully known and share one canonical form.
-    A superfactor keeps its representative's table; its argument slots are
-    the representative's positions, ordered inside each symmetry class of
-    the table by the supervar they hold, which is well defined exactly when
-    the partition is stable.  Each other member is aligned through the
-    canonical form: a representative position maps to its canonical slot,
-    the slot to the member's position, and positions inside a symmetry
-    class are then matched by supervar.  Raises ValueError when the
-    partition does not hold every rv and factor of g exactly once, mixes
-    canonical forms in a factor group, or is not stable, including when
-    the members of a supervar held by several slots fill those slots'
-    symmetry classes unequally often.
+
+def compress(g: FactorGraph, partition: Partition) -> LiftedModel:
+    """Build the lifted model for a stable partition of g.
+
+    A partition is stable when one colour-passing round from it splits no
+    group: with every rv and factor coloured by the index of its group,
+    the members of a factor group hear equal colours slot by slot (as
+    multisets inside a symmetry class), and the members of an rv group
+    hear equal multisets of (factor group, tag) pairs.  Only then are the
+    edge counts below the same for every member of a group.  Every factor
+    group must be fully known and share one canonical form, so its
+    members' slots line up.  A superfactor keeps its representative's
+    table; its argument slots are the representative's positions, ordered
+    inside each symmetry class of the table by supervar name.  Raises
+    ValueError when the partition does not hold every rv and factor of g
+    exactly once, mixes ranges, evidence or canonical forms in a group,
+    holds an unknown factor, or is not stable.
     """
     _check_covers(g, partition)
-    supervars: dict[str, SuperVar] = {}
-    sv_of: dict[str, str] = {}      # ground rv -> supervar name
+    slots, adj = _layout(g)
     for members in partition.rv_groups:
         rep = g.rvs[members[0]]
-        for m in members[1:]:
-            if g.rvs[m].range != rep.range or g.rvs[m].evidence != rep.evidence:
-                raise ValueError(f"rv group {members} mixes ranges or evidence")
-        supervars[rep.name] = SuperVar(rep.name, len(members), rep.range, rep.evidence, members)
-        for m in members:
-            sv_of[m] = rep.name
+        if any(g.rvs[m].range != rep.range or g.rvs[m].evidence != rep.evidence
+               for m in members[1:]):
+            raise ValueError(f"rv group {members} mixes ranges or evidence")
+    for members in partition.factor_groups:
+        unknown = [m for m in members if g.factors[m].is_unknown]
+        if unknown:
+            raise ValueError(f"factor group {members} contains unknown factor {unknown[0]}")
+        table = g.factors[members[0]].table
+        if any(t is not table and t != table and canonical_form(t)[0] != canonical_form(table)[0]
+               for t in (g.factors[m].table for m in members[1:])):
+            raise ValueError(f"factor group {members} mixes tables of different forms")
+
+    rv_colour = {m: i for i, members in enumerate(partition.rv_groups) for m in members}
+    factor_colour = {m: i for i, members in enumerate(partition.factor_groups) for m in members}
+    factor_key = _factor_keys(_shared(partition.factor_groups), slots, rv_colour, factor_colour)
+    rv_key = _rv_keys(_shared(partition.rv_groups), adj, rv_colour, factor_colour)
+    for kind, groups, key in (("factor", partition.factor_groups, factor_key),
+                              ("rv", partition.rv_groups, rv_key)):
+        for members in groups:
+            if any(key[m] != key[members[0]] for m in members[1:]):
+                raise ValueError(f"{kind} group {members} is not stable: one colour-passing "
+                                 f"round splits it")
 
     superfactors = []
-    classes_of: dict[PotentialTable, list[tuple[int, ...]]] = {}
     for members in partition.factor_groups:
-        rep = g.factors[members[0]]
-        if rep.is_unknown:
-            raise ValueError(f"factor group {members} contains unknown factor {rep.name}")
-        if rep.table not in classes_of:
-            classes_of[rep.table] = argument_symmetry_classes(rep.table)
-        classes = classes_of[rep.table]
-        slots: list[str | None] = [None] * len(rep.args)
-        for cls in classes:
-            held = sorted(sv_of[rep.args[p]] for p in cls)
-            for slot, sv in zip(cls, held):
-                slots[slot] = sv
-        # a supervar in several slots: count how often each ground rv fills
-        # each symmetry class, which the adjacency totals below cannot see
-        fills = None
-        if len(set(slots)) < len(slots):
-            class_of = [0] * len(slots)
-            for ci, cls in enumerate(classes):
-                for p in cls:
-                    class_of[p] = ci
-            fills = Counter(zip(rep.args, class_of))
-        for m in members[1:]:
-            f = g.factors[m]
-            if f.is_unknown:
-                raise ValueError(f"factor group {members} contains unknown factor {m}")
-            # axes[p]: the member position that fills slot p
-            if f.table == rep.table:
-                axes = list(range(len(slots)))
-            else:
-                form, order = canonical_form(rep.table)
-                m_form, m_order = canonical_form(f.table)
-                if m_form != form:
-                    raise ValueError(f"factor group {members} mixes tables of different forms")
-                axes = [0] * len(slots)
-                for p, q in zip(order, m_order):
-                    axes[p] = q
-            if [sv_of[f.args[q]] for q in axes] != slots:
-                for cls in classes:
-                    by_sv = sorted((axes[p] for p in cls), key=lambda q: sv_of[f.args[q]])
-                    for p, q in zip(cls, by_sv):
-                        axes[p] = q
-                if [sv_of[f.args[q]] for q in axes] != slots:
-                    raise ValueError(
-                        f"factor group {members} is not stable: {m} does not span "
-                        f"the supervariables {slots}")
-            if fills is not None:
-                fills.update(zip((f.args[q] for q in axes), class_of))
-        if fills is not None:
-            per_class: dict[tuple[int, int], list[int]] = {}
-            for (rv, ci), c in fills.items():
-                per_class.setdefault((sv_of[rv], ci), []).append(c)
-            for (sv, ci), cs in per_class.items():
-                if len(cs) != supervars[sv].size or min(cs) != max(cs):
-                    raise ValueError(
-                        f"factor group {members} is not stable: the members of "
-                        f"{sv} fill the slots of symmetry class "
-                        f"{classes[ci]} unequally")
-        superfactors.append(SuperFactor(rep.name, len(members), rep.table,
-                                        tuple(slots), members))
+        f = g.factors[members[0]]
+        args = [partition.rv_groups[rv_colour[a]][0] for a in f.args]
+        slot_args, runs = slots[f.name]
+        for i, j in runs:
+            positions = sorted(f.args.index(a) for a in slot_args[i:j])
+            for p, name in zip(positions, sorted(args[p] for p in positions)):
+                args[p] = name
+        superfactors.append(SuperFactor(f.name, len(members), f.table, tuple(args), members))
 
-    factor_group_name = {m: sf.name for sf in superfactors for m in sf.members}
-    counts_of: dict[str, dict[str, int]] = {name: {} for name in g.rvs}
-    for fname, f in g.factors.items():
-        gname = factor_group_name[fname]
-        for arg in f.args:
-            counts = counts_of[arg]
-            counts[gname] = counts.get(gname, 0) + 1
-    edge_counts: dict[tuple[str, str], int] = {}
-    for sv in supervars.values():
-        counts = counts_of[sv.members[0]]
-        if any(counts_of[m] != counts for m in sv.members[1:]):
-            raise ValueError(f"rv group {sv.members} is not stable: members have "
-                             f"unequal adjacency counts")
-        for gname, c in counts.items():
-            edge_counts[(sv.name, gname)] = c
-
-    return LiftedModel(tuple(supervars.values()), tuple(superfactors), edge_counts)
+    supervars, edge_counts = [], {}
+    for members in partition.rv_groups:
+        rep = g.rvs[members[0]]
+        supervars.append(SuperVar(rep.name, len(members), rep.range, rep.evidence, members))
+        for f, _ in adj[rep.name]:
+            key = (rep.name, partition.factor_groups[factor_colour[f]][0])
+            edge_counts[key] = edge_counts.get(key, 0) + 1
+    return LiftedModel(tuple(supervars), tuple(superfactors), edge_counts)
 
 
 def singleton_partition(g: FactorGraph) -> Partition:

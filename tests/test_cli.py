@@ -175,13 +175,6 @@ def test_bench_deterministic_kl_columns(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def test_bench_worker_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIFTFG_THREADS", "1")
-    assert main(["bench", "--d", "2", "--instances", "1", "--seed", "3",
-                 "--reps", "1", "--workers", "8",
-                 "--out", str(tmp_path / "o.csv")]) == 0
-
-
 def test_bench_bad_d_list(capsys):
     assert main(["bench", "--d", "2,x"]) == 1
     assert "bad --d" in capsys.readouterr().err
@@ -243,7 +236,7 @@ def _write_non_utf8(path):
     return path
 
 
-@pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir", "threads_env",
+@pytest.mark.parametrize("case", ["lift_out_dir", "bench_out_dir",
                                   "enumeration_cap", "ve_cap", "non_utf8_model",
                                   "overflowing_potentials", "negative_d", "zero_d"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -256,7 +249,6 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
     argv = {
         "lift_out_dir": ["lift", "--model", str(unknown_file), "--out", str(missing / "x")],
         "bench_out_dir": bench + ["--out", str(missing / "b.csv")],
-        "threads_env": bench,
         "enumeration_cap": ["infer", "--model",
                             str(_write_free_booleans(tmp_path / "wide.fg", 30)),
                             "--engine", "enumeration", "--query", "X0"],
@@ -269,8 +261,6 @@ def test_input_errors_exit_1_without_traceback(case, tmp_path, unknown_file,
         "negative_d": ["bench", "--d", "-3", "--instances", "1"],
         "zero_d": ["bench", "--d", "4,0", "--instances", "1"],
     }[case]
-    if case == "threads_env":
-        monkeypatch.setenv("LIFTFG_THREADS", "abc")
     if case == "ve_cap":
         monkeypatch.setattr(inference, "_multiply", None)   # any product would raise TypeError
     assert main(argv) == 1

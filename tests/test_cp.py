@@ -1,7 +1,10 @@
+from collections import Counter
+import gc
 from itertools import permutations
 import random
 import time
 from unittest import mock
+import weakref
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -9,13 +12,14 @@ import pytest
 
 from liftfg import (ColourAssignment, Factor, FactorGraph, Partition, PotentialTable,
                     RandomVariable, argument_symmetry_classes, compress, cp_round,
-                    initial_colours, parse_model, run_cp, serialize_lifted,
-                    singleton_partition)
+                    initial_colours, parse_model, run_cp, run_lifg, serialize_lifted,
+                    serialize_model, singleton_partition)
 from liftfg import cp
-from liftfg.cp import _groups, canonical_form
+from liftfg.cp import (LiftedModel, SuperFactor, SuperVar, _check_covers, _groups,
+                       canonical_form)
 from liftfg.benchgen import GenParams, generate_instance
-from conftest import (THREE_RV_TEXT, assert_lifted_matches_bp, chain_graph, group_of,
-                      random_graph, random_model, swap_generated_table)
+from conftest import (ANCHOR, PAIR, THREE_RV_TEXT, assert_lifted_matches_bp, chain_graph,
+                      group_of, random_graph, random_model, swap_generated_table)
 
 
 def blocks(groups):
@@ -275,6 +279,16 @@ def test_evidence_splits_groups():
     part = run_cp(g)
     assert blocks(part.rv_groups) == {frozenset("A"), frozenset("B"), frozenset("C")}
 
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda rv: {k: c for k, c in rv.items() if k != "B"}, "rv 'B' has no colour"),
+    (lambda rv: {**rv, "Z": 0}, "rv 'Z' is not in the graph"),
+], ids=["omits_rv", "foreign_rv"])
+def test_run_cp_rejects_initial_colouring_not_covering_graph(three_rv, change, problem):
+    start = initial_colours(three_rv)
+    initial = ColourAssignment(change(start.rv_colour), start.factor_colour)
+    with pytest.raises(ValueError, match=f"initial colouring does not cover the graph: {problem}"):
+        run_cp(three_rv, initial)
 
 def oracle_run_cp(g, initial=None):
     """Reference loop: build and compare the whole partition after every round."""
@@ -581,3 +595,207 @@ def test_termination_bound_on_long_path():
     for i in range(n):
         assert group[f"X{i:02d}"] == group[f"X{n - 1 - i:02d}"]
     assert len(part.rv_groups) == n // 2
+
+
+# --- compress against the member-aligning reference ----------------------
+
+def oracle_compress(g: FactorGraph, partition: Partition) -> LiftedModel:
+    """Reference compress: aligns each member through its canonical form and
+    checks repeated slots and adjacency counts with tables of its own."""
+    _check_covers(g, partition)
+    supervars: dict[str, SuperVar] = {}
+    sv_of: dict[str, str] = {}      # ground rv -> supervar name
+    for members in partition.rv_groups:
+        rep = g.rvs[members[0]]
+        for m in members[1:]:
+            if g.rvs[m].range != rep.range or g.rvs[m].evidence != rep.evidence:
+                raise ValueError(f"rv group {members} mixes ranges or evidence")
+        supervars[rep.name] = SuperVar(rep.name, len(members), rep.range, rep.evidence, members)
+        for m in members:
+            sv_of[m] = rep.name
+
+    superfactors = []
+    classes_of: dict[PotentialTable, list[tuple[int, ...]]] = {}
+    for members in partition.factor_groups:
+        rep = g.factors[members[0]]
+        if rep.is_unknown:
+            raise ValueError(f"factor group {members} contains unknown factor {rep.name}")
+        if rep.table not in classes_of:
+            classes_of[rep.table] = argument_symmetry_classes(rep.table)
+        classes = classes_of[rep.table]
+        slots: list[str | None] = [None] * len(rep.args)
+        for cls in classes:
+            held = sorted(sv_of[rep.args[p]] for p in cls)
+            for slot, sv in zip(cls, held):
+                slots[slot] = sv
+        # a supervar in several slots: count how often each ground rv fills
+        # each symmetry class, which the adjacency totals below cannot see
+        fills = None
+        if len(set(slots)) < len(slots):
+            class_of = [0] * len(slots)
+            for ci, cls in enumerate(classes):
+                for p in cls:
+                    class_of[p] = ci
+            fills = Counter(zip(rep.args, class_of))
+        for m in members[1:]:
+            f = g.factors[m]
+            if f.is_unknown:
+                raise ValueError(f"factor group {members} contains unknown factor {m}")
+            # axes[p]: the member position that fills slot p
+            if f.table == rep.table:
+                axes = list(range(len(slots)))
+            else:
+                form, order = canonical_form(rep.table)
+                m_form, m_order = canonical_form(f.table)
+                if m_form != form:
+                    raise ValueError(f"factor group {members} mixes tables of different forms")
+                axes = [0] * len(slots)
+                for p, q in zip(order, m_order):
+                    axes[p] = q
+            if [sv_of[f.args[q]] for q in axes] != slots:
+                for cls in classes:
+                    by_sv = sorted((axes[p] for p in cls), key=lambda q: sv_of[f.args[q]])
+                    for p, q in zip(cls, by_sv):
+                        axes[p] = q
+                if [sv_of[f.args[q]] for q in axes] != slots:
+                    raise ValueError(
+                        f"factor group {members} is not stable: {m} does not span "
+                        f"the supervariables {slots}")
+            if fills is not None:
+                fills.update(zip((f.args[q] for q in axes), class_of))
+        if fills is not None:
+            per_class: dict[tuple[int, int], list[int]] = {}
+            for (rv, ci), c in fills.items():
+                per_class.setdefault((sv_of[rv], ci), []).append(c)
+            for (sv, ci), cs in per_class.items():
+                if len(cs) != supervars[sv].size or min(cs) != max(cs):
+                    raise ValueError(
+                        f"factor group {members} is not stable: the members of "
+                        f"{sv} fill the slots of symmetry class "
+                        f"{classes[ci]} unequally")
+        superfactors.append(SuperFactor(rep.name, len(members), rep.table,
+                                        tuple(slots), members))
+
+    factor_group_name = {m: sf.name for sf in superfactors for m in sf.members}
+    counts_of: dict[str, dict[str, int]] = {name: {} for name in g.rvs}
+    for fname, f in g.factors.items():
+        gname = factor_group_name[fname]
+        for arg in f.args:
+            counts = counts_of[arg]
+            counts[gname] = counts.get(gname, 0) + 1
+    edge_counts: dict[tuple[str, str], int] = {}
+    for sv in supervars.values():
+        counts = counts_of[sv.members[0]]
+        if any(counts_of[m] != counts for m in sv.members[1:]):
+            raise ValueError(f"rv group {sv.members} is not stable: members have "
+                             f"unequal adjacency counts")
+        for gname, c in counts.items():
+            edge_counts[(sv.name, gname)] = c
+
+    return LiftedModel(tuple(supervars.values()), tuple(superfactors), edge_counts)
+
+
+def repeating_graph(rng: random.Random) -> FactorGraph:
+    """A ring or all-pairs model of one pairwise table, so a superfactor repeats a supervar.
+
+    The table is asymmetric, swap-symmetric or random; each pairwise
+    factor is stored transposed with its arguments swapped half the time.
+    Some rvs get an anchor or evidence, and a ring may carry a chord.
+    """
+    n = rng.randint(2, 7)
+    names = [f"X{i}" for i in range(n)]
+    pair = rng.choice((PAIR, SYMMETRIC_PAIR,
+                       PotentialTable.from_array(swap_generated_table(rng, (2, 2)))))
+    if rng.random() < 0.5:
+        edges = [(i, (i + 1) % n) for i in range(n if n > 2 else 1)]
+        if n > 3 and rng.random() < 0.3:
+            edges.append((0, n // 2))
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    factors = []
+    for k, (i, j) in enumerate(edges):
+        if rng.random() < 0.5:
+            factors.append(Factor(f"p{k}", (names[i], names[j]), pair))
+        else:
+            factors.append(Factor(f"p{k}", (names[j], names[i]),
+                                  PotentialTable.from_array(pair.array().T)))
+    factors += [Factor(f"a{name}", (name,), ANCHOR) for name in names if rng.random() < 0.3]
+    rvs = [RandomVariable(name, ("a", "b"), rng.randrange(2) if rng.random() < 0.15 else None)
+           for name in names]
+    return FactorGraph(rvs, factors)
+
+
+def perturbed(part: Partition, rng: random.Random) -> Partition:
+    """part with two groups of one kind merged, one split or two swapping members.
+
+    Then the groups, and the members inside each group, are shuffled, so
+    the groups are no longer in canonical order and a group's first member
+    is any of them.
+    """
+    rv_groups = [list(grp) for grp in part.rv_groups]
+    factor_groups = [list(grp) for grp in part.factor_groups]
+    groups = rng.choice((rv_groups, factor_groups))
+    change = rng.choice(("none", "merge", "split", "swap"))
+    large = [grp for grp in groups if len(grp) > 1]
+    if change == "merge" and len(groups) > 1:
+        i, j = sorted(rng.sample(range(len(groups)), 2))
+        groups[i] += groups.pop(j)
+    elif change == "split" and large:
+        grp = rng.choice(large)
+        cut = rng.randint(1, len(grp) - 1)
+        groups.append(grp[cut:])
+        del grp[cut:]
+    elif change == "swap" and large and len(groups) > 1:
+        grp = rng.choice(large)
+        other = rng.choice([o for o in groups if o is not grp])
+        i = rng.randrange(len(grp))
+        grp[i], other[0] = other[0], grp[i]
+    for grp in rv_groups + factor_groups:
+        rng.shuffle(grp)
+    rng.shuffle(rv_groups)
+    rng.shuffle(factor_groups)
+    return Partition(tuple(map(tuple, rv_groups)), tuple(map(tuple, factor_groups)))
+
+
+def compress_outcome(run, g, part):
+    """run(g, part) with its serialisation, or None when it rejects the partition."""
+    try:
+        m = run(g, part)
+    except ValueError:
+        return None
+    return m, serialize_lifted(m)
+
+
+@st.composite
+def compress_cases(draw):
+    """A known graph and four partitions: run_cp's and three perturbed copies.
+
+    Graphs come from random_model (evidence, shared, transposed and
+    swap-symmetric tables) or repeating_graph (rings and all-pairs).
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = random_model(rng, hidden=0.0) if rng.random() < 0.5 else repeating_graph(rng)
+    part = run_cp(g)
+    return g, [part] + [perturbed(part, rng) for _ in range(3)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(compress_cases())
+def test_compress_matches_member_aligning_oracle(case):
+    g, partitions = case
+    for part in partitions:
+        assert compress_outcome(compress, g, part) == compress_outcome(oracle_compress, g, part)
+
+
+def test_run_lifg_lays_out_a_graph_once():
+    g = parse_model(serialize_model(generate_instance(GenParams(d=4, seed=3))[0]))
+    equal = parse_model(serialize_model(g))
+    with mock.patch.object(cp, "_roles_of", wraps=cp._roles_of) as spy:
+        result = run_lifg(g, theta=0.0)
+        assert spy.call_count == 1
+        assert compress(equal, result.partition) == result.lifted
+        assert spy.call_count == 2
+    ref = weakref.ref(equal)
+    del equal, spy     # the spy's call list holds the graph too
+    gc.collect()
+    assert ref() is None

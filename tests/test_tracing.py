@@ -3,8 +3,9 @@
 perfbench/tracing.py replaces each function in WRAPPED in its module
 namespace, so a span is recorded only while the pipeline keeps calling that
 function through the module global.  These tests run small lifts and a BP
-pass under the tracer: every wrapped name still fires, and colour passing
-records one span per refinement round.
+pass under the tracer: every wrapped name still fires, colour passing
+records one span per refinement round, and a complete lift records one
+compress span.
 """
 
 import importlib.util
@@ -61,3 +62,17 @@ def test_one_cp_round_span_per_refinement_round():
     names = [span[tracing.NAME] for span in tracer.spans]
     assert names.count("cp.run_cp") == 1
     assert names.count("cp.cp_round") == n // 2 + 1
+
+
+def test_one_compress_span_per_complete_lift():
+    # the per-layer cp.compress time is one call's time per lift
+    g = chain_graph(12, hidden=(3,))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = lifg.run_lifg(g, theta=0.0)
+    finally:
+        tracer.uninstall()
+    assert result.report.complete
+    assert [span[tracing.NAME] for span in tracer.spans].count("cp.compress") == 1
